@@ -8,12 +8,12 @@ Run:  python3 demos/bernoulli_numbers.py
 from faulhaber import (
     bernoulli_egf,
     bernoulli_recursive,
-    format_rational,
     is_regular,
     sieve,
     vsc_denominator,
     vsc_primes,
 )
+from faulhaber.cli import format_rational
 
 K = 16
 

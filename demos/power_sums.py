@@ -8,13 +8,13 @@ Run:  python3 demos/power_sums.py
 from faulhaber import (
     PowerSumQuery,
     bernoulli_recursive,
-    format_rational,
     mu,
     s_brute,
     s_faulhaber,
     s_mod,
     s_recursive,
 )
+from faulhaber.cli import format_rational
 
 print("Three routes, one answer")
 print("------------------------")

@@ -13,7 +13,6 @@ from .bernoulli import (
     is_regular,
     vsc_denominator,
 )
-from .exact import binomial, format_rational, is_integer, modpow, reduce_fraction
 from .integrality import (
     RULE_EVEN,
     RULE_K1,
@@ -53,11 +52,6 @@ __all__ = [
     "bernoulli_recursive",
     "is_regular",
     "vsc_denominator",
-    "binomial",
-    "format_rational",
-    "is_integer",
-    "modpow",
-    "reduce_fraction",
     "RULE_EVEN",
     "RULE_K1",
     "RULE_ODD",

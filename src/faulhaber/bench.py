@@ -45,28 +45,18 @@ class BenchCell:
     est_ms: float | None  # extrapolated total when infeasible
 
 
-def _budgeted_mod_sum(k: int, n: int, m: int, budget_s: float) -> tuple[int | None, int]:
-    """S_k(n) mod m with a deadline; returns (residue | None, terms done)."""
+def _budgeted_sum(k: int, n: int, m: int | None, budget_s: float) -> tuple[int | None, int]:
+    """Sum of pow(x, k, m) over x = 1..n with a deadline; m=None sums exactly.
+
+    Returns (sum | None, terms done).  With m = n the sum is congruent to
+    S_k(n) mod n, so either way S_k(n)/n is integral iff the sum is 0 mod n.
+    """
     deadline = time.perf_counter() + budget_s
     total = 0
     j = 1
     while j <= n:
         hi = min(n, j + _CHUNK - 1)
-        total = (total + sum(pow(x, k, m) for x in range(j, hi + 1))) % m
-        j = hi + 1
-        if time.perf_counter() > deadline:
-            return None, j - 1
-    return total, n
-
-
-def _budgeted_exact_sum(k: int, n: int, budget_s: float) -> tuple[int | None, int]:
-    """Exact S_k(n) with a deadline; returns (sum | None, terms done)."""
-    deadline = time.perf_counter() + budget_s
-    total = 0
-    j = 1
-    while j <= n:
-        hi = min(n, j + _CHUNK - 1)
-        total += sum(x**k for x in range(j, hi + 1))
+        total += sum(pow(x, k, m) for x in range(j, hi + 1))
         j = hi + 1
         if time.perf_counter() > deadline:
             return None, j - 1
@@ -92,20 +82,14 @@ def run_bench(
         verdict = integrality.decide(k, n)
         out.append(_cell(k, n, "decide", time.perf_counter() - start, verdict.integral, n))
 
-        start = time.perf_counter()
-        residue, done = _budgeted_mod_sum(k, n, n, budget_s)
-        mod_integral = None if residue is None else residue == 0
-        out.append(_cell(k, n, "s_mod", time.perf_counter() - start, mod_integral, done))
-
-        start = time.perf_counter()
-        total, done = _budgeted_exact_sum(k, n, budget_s)
-        brute_integral = None if total is None else total % n == 0
-        out.append(_cell(k, n, "s_brute", time.perf_counter() - start, brute_integral, done))
-
-        for finished in (mod_integral, brute_integral):
-            if finished is not None and finished != verdict.integral:
+        for method, m in (("s_mod", n), ("s_brute", None)):
+            start = time.perf_counter()
+            total, done = _budgeted_sum(k, n, m, budget_s)
+            integral = None if total is None else total % n == 0
+            out.append(_cell(k, n, method, time.perf_counter() - start, integral, done))
+            if integral is not None and integral != verdict.integral:
                 raise InconsistencyError(
-                    f"summation verdict {finished} contradicts rule verdict "
+                    f"summation verdict {integral} contradicts rule verdict "
                     f"{verdict.integral} at k={k}, n={n}"
                 )
     return out

