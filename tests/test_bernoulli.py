@@ -39,6 +39,22 @@ def test_egf_entry_8():
     assert bernoulli_egf(8)[8] == Fraction(-1, 30)
 
 
+def test_routes_agree_to_40():
+    rec = bernoulli_recursive(40)
+    egf = bernoulli_egf(40)
+    assert rec.values == egf.values
+    assert rec.route == "recursive"
+    assert egf.route == "egf"
+
+
+def test_odd_indices_vanish_on_both_routes():
+    rec = bernoulli_recursive(49)
+    egf = bernoulli_egf(49)
+    for m in range(1, 25):
+        assert rec[2 * m + 1] == 0
+        assert egf[2 * m + 1] == 0
+
+
 def test_table_indexing_bounds():
     t = bernoulli_recursive(4)
     assert t.limit == 4

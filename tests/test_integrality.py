@@ -120,6 +120,21 @@ def test_predict_residue_rejects_bad_inputs():
         predict_residue(2, 1, 2)
 
 
+def test_verdict_depends_only_on_denominator():
+    pairs = [(2, 14), (4, 8), (12, 24), (16, 32)]
+    for k1, k2 in pairs:
+        assert vsc_denominator(k1) == vsc_denominator(k2)
+        for n in range(1, 201):
+            assert decide(k1, n) == decide(k2, n)
+
+
+def test_verdict_periodicity_in_n():
+    for k in (2, 4, 6, 8, 10, 12):
+        period = 4 * vsc_denominator(k)
+        for n in range(1, 101):
+            assert decide(k, n) == decide(k, n + period)
+
+
 def test_grid_shape_and_rows():
     rows = grid(4, 6)
     assert len(rows) == 4

@@ -82,6 +82,25 @@ def test_vsc_primes_matches_direct_filter():
         assert vsc_primes(k) == expected
 
 
+def test_vsc_primes_always_contains_2_and_3():
+    for k in range(2, 201, 2):
+        ps = vsc_primes(k)
+        assert ps[:2] == [2, 3]
+
+
+def test_vsc_primes_square_free_product():
+    for k in range(2, 201, 2):
+        ps = vsc_primes(k)
+        assert all(a < b for a, b in zip(ps, ps[1:]))
+
+
+def test_vsc_primes_divisor_monotonicity():
+    for k in range(2, 41, 2):
+        base = set(vsc_primes(k))
+        for m in range(1, 7):
+            assert base <= set(vsc_primes(m * k))
+
+
 def test_vsc_primes_rejects_odd_or_nonpositive():
     for k in (3, 1, 0, -2):
         with pytest.raises(ValueError):
