@@ -1,10 +1,10 @@
 #!/usr/bin/env python3
 """Walkthrough: what the integrality rule buys you over summation.
 
-The rule costs one gcd after a sieve to k+1.  Summation costs n modular
-exponentiations (or n exact ones).  This script times both under a small
-per-cell budget so it finishes quickly; raise BUDGET_MS to let the
-summations run longer.
+The rule costs one gcd after factoring k and keeping the primes d+1 with
+d | k.  Summation costs n modular exponentiations (or n exact ones).  This
+script times both under a small per-cell budget so it finishes quickly;
+raise BUDGET_MS to let the summations run longer.
 
 Run:  python3 demos/decision_vs_bruteforce.py
 """

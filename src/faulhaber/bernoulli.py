@@ -111,7 +111,8 @@ def vsc_denominator(k: int) -> int:
     """Product of all primes p with (p-1) | k, for even k >= 2.
 
     Equals the denominator of B_k in lowest terms, and is square-free.
-    Needs only a sieve up to k + 1, never a Bernoulli table.
+    Needs only the divisors of k and a primality test on each d + 1, never a
+    Bernoulli table; k must factor within ``primes.DEFAULT_FACTOR_BOUND``.
     """
     return math.prod(primes.vsc_primes(k))
 

@@ -219,7 +219,10 @@ def _cmd_selftest(args: argparse.Namespace) -> int:
 
 def _cmd_bench(args: argparse.Namespace) -> int:
     cells = bench.DEFAULT_CELLS
-    if args.kmax is not None and args.nmax is not None:
+    if (args.kmax is None) != (args.nmax is None):
+        missing = "--nmax" if args.nmax is None else "--kmax"
+        raise ValueError(f"the extra bench cell needs both --kmax and --nmax; {missing} is missing")
+    if args.kmax is not None:
         cells = cells + ((args.kmax, args.nmax),)
     results = bench.run_bench(cells, budget_ms=args.budget_ms)
     for c in results:
@@ -320,6 +323,8 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     if hasattr(sys.stdout, "reconfigure"):
         sys.stdout.reconfigure(encoding="utf-8")
+    if hasattr(sys, "set_int_max_str_digits"):  # exact values may exceed 4300 digits
+        sys.set_int_max_str_digits(0)
     args = build_parser().parse_args(argv)
     try:
         return args.handler(args)

@@ -1,10 +1,11 @@
-"""Prime generation, the (p-1) | k prime filter, and trial-division factoring.
+"""The (p-1) | k prime filter, budgeted trial division, and a reference sieve.
 
-The filter is the workhorse of the whole library: for even k, the primes p
-with (p-1) | k are exactly the primes appearing in the denominator of the
-k-th Bernoulli number (von Staudt-Clausen), and they drive the fast
-integrality test.  Since (p-1) | k forces p <= k + 1, a sieve up to k + 1
-is always enough.
+For even k, the primes p with (p-1) | k are exactly the primes in the
+denominator of the k-th Bernoulli number (von Staudt-Clausen), and they
+drive the fast integrality test.  They are the primes d + 1 with d | k, so
+the filter factors k and tests each d + 1.  Factoring and primality share
+one trial-division loop bounded by ``DEFAULT_FACTOR_BOUND``; the sieve is
+only the reference the selftest holds the filter against.
 """
 
 from __future__ import annotations
@@ -37,16 +38,8 @@ class PrimeSieve:
     limit: int
     flags: bytes
 
-    def is_prime(self, n: int) -> bool:
-        if n < 0 or n > self.limit:
-            raise ValueError(f"{n} is outside the sieved range 0..{self.limit}")
-        return bool(self.flags[n])
-
     def primes(self) -> list[int]:
         return [i for i, f in enumerate(self.flags) if f]
-
-    def __contains__(self, n: int) -> bool:
-        return 0 <= n <= self.limit and bool(self.flags[n])
 
 
 @dataclass(frozen=True)
@@ -58,12 +51,6 @@ class Factorization:
     @property
     def value(self) -> int:
         return math.prod(p**a for p, a in self.factors)
-
-    def exponent_of(self, p: int) -> int:
-        for q, a in self.factors:
-            if q == p:
-                return a
-        return 0
 
     def __iter__(self):
         return iter(self.factors)
@@ -81,28 +68,45 @@ def sieve(limit: int) -> PrimeSieve:
     return PrimeSieve(limit=limit, flags=bytes(flags))
 
 
-def is_prime(n: int) -> bool:
-    """Trial-division primality check; exact for any nonnegative int."""
-    if n < 2:
-        return False
-    if n % 2 == 0:
-        return n == 2
-    d = 3
+def _least_factor(n: int, start: int, bound: int) -> int:
+    """Least divisor of n that is >= start (2 or odd), given none below it.
+
+    Raises ``FactorizationError`` rather than try a divisor above ``bound``.
+    """
+    d = start
     while d * d <= n:
+        if d > bound:
+            # no divisor <= bound, so n > bound^2: composite-or-unknown
+            raise FactorizationError(
+                f"{n} has no factor up to the trial-division bound {bound}"
+            )
         if n % d == 0:
-            return False
-        d += 2
-    return True
+            return d
+        d += 1 if d == 2 else 2
+    return n
+
+
+def is_prime(n: int) -> bool:
+    """Trial-division primality check within ``DEFAULT_FACTOR_BOUND``.
+
+    Exact for n below (bound + 1)^2 and for any n with a factor up to the
+    bound; raises ``FactorizationError`` otherwise.
+    """
+    return n >= 2 and _least_factor(n, 2, DEFAULT_FACTOR_BOUND) == n
 
 
 def vsc_primes(k: int) -> list[int]:
     """All primes p with (p-1) | k, ascending, for even k >= 2.
 
-    Always contains 2 and 3, and nothing above k + 1.
+    Always contains 2 and 3, and nothing above k + 1.  Costs one
+    ``factorize(k)`` and one ``is_prime`` per divisor of k.
     """
     if k < 2 or k % 2 != 0:
         raise ValueError(f"k must be a positive even integer, got {k}")
-    return [p for p in sieve(k + 1).primes() if k % (p - 1) == 0]
+    divisors = [1]
+    for p, a in factorize(k):
+        divisors = [d * p**e for d in divisors for e in range(a + 1)]
+    return sorted(d + 1 for d in divisors if is_prime(d + 1))
 
 
 def factorize(n: int, bound: int = DEFAULT_FACTOR_BOUND) -> Factorization:
@@ -116,19 +120,11 @@ def factorize(n: int, bound: int = DEFAULT_FACTOR_BOUND) -> Factorization:
     factors: list[tuple[int, int]] = []
     r = n
     d = 2
-    while d * d <= r:
-        if d > bound:
-            # all divisors <= bound are gone, so r >= bound^2 and composite-or-unknown
-            raise FactorizationError(
-                f"cofactor {r} of {n} exceeds the trial-division bound {bound}"
-            )
-        if r % d == 0:
-            a = 0
-            while r % d == 0:
-                r //= d
-                a += 1
-            factors.append((d, a))
-        d += 1 if d == 2 else 2
-    if r > 1:
-        factors.append((r, 1))
+    while r > 1:
+        d = _least_factor(r, d, bound)
+        a = 0
+        while r % d == 0:
+            r //= d
+            a += 1
+        factors.append((d, a))
     return Factorization(factors=tuple(factors))

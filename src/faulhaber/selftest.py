@@ -61,6 +61,16 @@ def _vsc_monotone(quick: bool) -> None:
                 _fail(f"prime filter not monotone: k={k}, m={m}")
 
 
+def _vsc_divisors_vs_sieve(quick: bool) -> None:
+    top = 500 if quick else 5000
+    sieved = primes.sieve(top + 1).primes()
+    for k in range(2, top + 1, 2):
+        want = [p for p in sieved if p <= k + 1 and k % (p - 1) == 0]
+        got = primes.vsc_primes(k)
+        if got != want:
+            _fail(f"divisor filter for k={k} gives {got}, the sieve {want}")
+
+
 def _factorize_roundtrip(quick: bool) -> None:
     top = 2000 if quick else 10**4
     for n in range(2, top + 1):
@@ -262,6 +272,7 @@ def _periodicity(quick: bool) -> None:
 GROUPS: list[tuple[str, Callable[[bool], None]]] = [
     ("vsc-square-free", _vsc_square_free),
     ("vsc-monotone", _vsc_monotone),
+    ("vsc-divisors-vs-sieve", _vsc_divisors_vs_sieve),
     ("factorize-roundtrip", _factorize_roundtrip),
     ("route-equivalence", _route_equivalence),
     ("odd-vanishing", _odd_vanishing),

@@ -124,6 +124,13 @@ def test_sum_every_route(capsys, route):
     assert out.strip() == "30"
 
 
+def test_sum_prints_values_past_4300_digits(capsys):
+    code, out, _ = run_cli(capsys, "sum", "2000", "1000", "--route", "brute")
+    assert code == 0
+    assert len(out.strip()) > 4300
+    assert out.strip().isdigit()
+
+
 def test_sum_route_all_reports_agreement(capsys):
     _, out, _ = run_cli(capsys, "sum", "2", "4", "--route", "all", "--json")
     record = json.loads(out)
@@ -169,6 +176,25 @@ def test_check_exit_codes_and_text(capsys):
 
     code, _, _ = run_cli(capsys, "check", "0", "5")
     assert code == 2
+
+
+def test_check_large_k_within_the_factor_bound(capsys):
+    code, out, err = run_cli(capsys, "check", "1000000000000", "6")
+    assert code == 1
+    assert out == "not integral; witness primes 2,3\n"
+    assert err == ""
+
+    code, out, _ = run_cli(capsys, "denom", "1000000000000")
+    assert code == 0
+    assert int(out) % (2 * 3 * 5 * 11) == 0  # d + 1 for d = 1, 2, 4, 10
+
+
+def test_check_k_past_the_factor_bound_exits_2(capsys):
+    # k = 2 * (10^13 + 37), and 10^13 + 37 is prime
+    code, out, err = run_cli(capsys, "check", "20000000000074", "35")
+    assert code == 2
+    assert out == ""
+    assert "trial-division bound" in err
 
 
 def test_check_json_record(capsys):
@@ -239,7 +265,7 @@ def test_usage_error_exits_2():
 def test_selftest_quick(capsys):
     code, out, _ = run_cli(capsys, "selftest", "--quick")
     assert code == 0
-    assert "all 18 invariant groups passed" in out
+    assert "all 19 invariant groups passed" in out
 
 
 def test_selftest_json(capsys):
@@ -247,7 +273,7 @@ def test_selftest_json(capsys):
     assert code == 0
     records = [json.loads(line) for line in out.splitlines()]
     summary = records[-1]
-    assert summary == {"command": "selftest-summary", "groups": "18", "failed": "0"}
+    assert summary == {"command": "selftest-summary", "groups": "19", "failed": "0"}
 
 
 def test_selftest_names_injected_fault(capsys, monkeypatch):
@@ -315,6 +341,14 @@ def test_bench_report(capsys):
     big = [r for r in cells if r["n"] == "1000000000" and r["method"] == "s_mod"]
     assert big[0]["status"] == "infeasible"
     assert big[0]["est_ms"] > 1000 * 150
+
+
+@pytest.mark.parametrize("given,missing", [("--kmax", "--nmax"), ("--nmax", "--kmax")])
+def test_bench_extra_cell_needs_both_bounds(capsys, given, missing):
+    code, out, err = run_cli(capsys, "bench", given, "5")
+    assert code == 2
+    assert out == ""
+    assert f"{missing} is missing" in err
 
 
 def test_module_entry_point_runs():

@@ -71,13 +71,6 @@ def test_mu_closed_forms_to_30():
         )
 
 
-def test_mu_integral_iff_zero_residue():
-    for k in range(1, 13):
-        for n in range(1, 61):
-            q = PowerSumQuery(k=k, n=n)
-            assert mu(q).integral == (s_mod(q, n) == 0)
-
-
 def test_query_validation_is_shared():
     with pytest.raises(ValueError):
         PowerSumQuery(k=0, n=5)
