@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from decimal import Decimal, localcontext
 from fractions import Fraction
@@ -102,8 +103,8 @@ def _cmd_bern(args: argparse.Namespace) -> int:
 
 
 def _cmd_denom(args: argparse.Namespace) -> int:
-    d = bernoulli.vsc_denominator(args.k)
     ps = primes.vsc_primes(args.k)
+    d = math.prod(ps)
     record = {
         "command": "denom",
         "k": str(args.k),
@@ -169,9 +170,7 @@ def _cmd_check(args: argparse.Namespace) -> int:
 
 
 def _cmd_table(args: argparse.Namespace) -> int:
-    kmax = args.kmax if args.kmax_pos is None else args.kmax_pos
-    nmax = args.nmax if args.nmax_pos is None else args.nmax_pos
-    rows = integrality.grid(kmax, nmax)
+    rows = integrality.grid(args.kmax, args.nmax)
     if args.json:
         for k, row in enumerate(rows, start=1):
             den = str(bernoulli.vsc_denominator(k)) if k >= 2 and k % 2 == 0 else None
@@ -180,7 +179,7 @@ def _cmd_table(args: argparse.Namespace) -> int:
                 record["denominator"] = den
                 print(json.dumps(record))
         return 0
-    print(f"  k  denominator  integral for n = 1..{nmax}")
+    print(f"  k  denominator  integral for n = 1..{args.nmax}")
     for k, row in enumerate(rows, start=1):
         den = str(bernoulli.vsc_denominator(k)) if k >= 2 and k % 2 == 0 else "-"
         cells = " ".join("✓" if v.integral else "✗" for v in row)
@@ -301,10 +300,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(handler=_cmd_check)
 
     p = sub.add_parser("table", parents=[common], help="verdict grid over 1..kmax x 1..nmax")
-    p.add_argument("kmax_pos", nargs="?", type=int, default=None, metavar="kmax")
-    p.add_argument("nmax_pos", nargs="?", type=int, default=None, metavar="nmax")
-    p.add_argument("--kmax", type=int, default=8)
-    p.add_argument("--nmax", type=int, default=16)
+    p.add_argument("kmax", nargs="?", type=int, default=8)
+    p.add_argument("nmax", nargs="?", type=int, default=16)
     p.set_defaults(handler=_cmd_table)
 
     p = sub.add_parser("selftest", parents=[common], help="run the full invariant suite")

@@ -9,19 +9,6 @@ from faulhaber.bernoulli import (
     vsc_denominator,
 )
 
-GROUND_TRUTH_TO_4 = (
-    Fraction(1),
-    Fraction(-1, 2),
-    Fraction(1, 6),
-    Fraction(0),
-    Fraction(-1, 30),
-)
-
-
-@pytest.mark.parametrize("route", [bernoulli_recursive, bernoulli_egf])
-def test_first_five_values(route):
-    assert route(4).values == GROUND_TRUTH_TO_4
-
 
 def test_base_case_and_sign_convention():
     t = bernoulli_recursive(1)

@@ -10,9 +10,11 @@ import pytest
 import faulhaber.bernoulli
 import faulhaber.integrality
 import faulhaber.powersum
+import faulhaber.primes
 from faulhaber import selftest
 from faulhaber.bernoulli import BernoulliTable, bernoulli_recursive
 from faulhaber.cli import approx_decimal, format_rational, main
+from faulhaber.primes import vsc_primes
 
 
 def run_cli(capsys, *argv):
@@ -115,6 +117,20 @@ def test_denom_json_carries_primes(capsys):
     record = json.loads(out)
     assert record["value"] == "2730"
     assert record["primes"] == ["2", "3", "5", "7", "13"]
+
+
+def test_denom_filters_primes_once(capsys, monkeypatch):
+    calls = []
+
+    def counted(k):
+        calls.append(k)
+        return vsc_primes(k)
+
+    faulhaber.bernoulli.vsc_denominator.cache_clear()
+    monkeypatch.setattr(faulhaber.primes, "vsc_primes", counted)
+    code, _, _ = run_cli(capsys, "denom", "720720")
+    assert code == 0
+    assert calls == [720720]
 
 
 @pytest.mark.parametrize("route", ["brute", "faulhaber", "recursive", "all"])
@@ -227,9 +243,11 @@ def test_table_rows(capsys):
 
 
 def test_table_flag_form(capsys):
-    _, positional, _ = run_cli(capsys, "table", "2", "5")
-    _, flagged, _ = run_cli(capsys, "table", "--kmax", "2", "--nmax", "5")
-    assert positional == flagged
+    # kmax and nmax are positional only
+    with pytest.raises(SystemExit) as exc:
+        main(["table", "--kmax", "2"])
+    assert exc.value.code == 2
+    assert capsys.readouterr().out == ""
 
 
 def test_table_json_cells(capsys):
@@ -265,7 +283,7 @@ def test_usage_error_exits_2():
 def test_selftest_quick(capsys):
     code, out, _ = run_cli(capsys, "selftest", "--quick")
     assert code == 0
-    assert "all 19 invariant groups passed" in out
+    assert "all 15 invariant groups passed" in out
 
 
 def test_selftest_json(capsys):
@@ -273,7 +291,7 @@ def test_selftest_json(capsys):
     assert code == 0
     records = [json.loads(line) for line in out.splitlines()]
     summary = records[-1]
-    assert summary == {"command": "selftest-summary", "groups": "19", "failed": "0"}
+    assert summary == {"command": "selftest-summary", "groups": "15", "failed": "0"}
 
 
 def test_selftest_names_injected_fault(capsys, monkeypatch):
@@ -351,11 +369,12 @@ def test_bench_extra_cell_needs_both_bounds(capsys, given, missing):
     assert f"{missing} is missing" in err
 
 
-def test_module_entry_point_runs():
+def test_module_entry_point_runs(src_env):
     proc = subprocess.run(
         [sys.executable, "-m", "faulhaber", "check", "4", "7"],
         capture_output=True,
         text=True,
+        env=src_env,
     )
     assert proc.returncode == 0
     assert proc.stdout.strip() == "integral"

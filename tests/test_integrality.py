@@ -73,19 +73,6 @@ def test_witness_primes_divide_both_n_and_denominator():
                 assert math.prod(v.witness_primes) == math.gcd(n, d)
 
 
-def test_decide_huge_n_without_factoring():
-    # n = 10^9 = 2^9 * 5^9; both 2 and 5 divide the k=1000 denominator
-    v = decide(1000, 10**9)
-    assert not v.integral
-    assert v.witness_primes == (2, 5)
-
-
-def test_prime_block_sum_examples():
-    assert prime_block_sum(5, 4) == 4
-    assert prime_block_sum(5, 3) == 0
-    assert prime_block_sum(3, 4) == 2  # 1 + 16 + 81 = 98 = 2 (mod 3)
-
-
 def test_prime_block_sum_rejects_composite():
     with pytest.raises(ValueError):
         prime_block_sum(6, 2)

@@ -61,16 +61,6 @@ def test_mu_small_cases():
     assert mu(PowerSumQuery(k=2, n=5)) == Average(value=Fraction(11), integral=True)
 
 
-def test_mu_closed_forms_to_30():
-    for n in range(1, 31):
-        assert mu(PowerSumQuery(k=1, n=n)).value == Fraction(n + 1, 2)
-        assert mu(PowerSumQuery(k=2, n=n)).value == Fraction((n + 1) * (2 * n + 1), 6)
-        assert mu(PowerSumQuery(k=3, n=n)).value == Fraction(n * (n + 1) ** 2, 4)
-        assert mu(PowerSumQuery(k=4, n=n)).value == Fraction(
-            (n + 1) * (2 * n + 1) * (3 * n * n + 3 * n - 1), 30
-        )
-
-
 def test_query_validation_is_shared():
     with pytest.raises(ValueError):
         PowerSumQuery(k=0, n=5)

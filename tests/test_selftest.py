@@ -1,3 +1,4 @@
+import dataclasses
 import doctest
 import importlib
 import pkgutil
@@ -5,12 +6,46 @@ import pkgutil
 import pytest
 
 import faulhaber
-from faulhaber import selftest
+from faulhaber import powersum, primes, selftest
+
+vsc_primes = primes.vsc_primes
+s_brute = powersum.s_brute
+mu = powersum.mu
 
 
 @pytest.mark.parametrize("check", [c for _, c in selftest.GROUPS], ids=[n for n, _ in selftest.GROUPS])
 def test_group_holds_at_full_range(check):
     check(False)  # raises InvariantViolation naming the counterexample
+
+
+# One fault per property the prime filter, s_brute and mu must keep: the
+# filter sorted, repeat-free, holding 3 and monotone in k; s_brute summing
+# every term, exactly; mu's flag agreeing with the residue.
+FAULTS = [
+    pytest.param("vsc-divisors-vs-sieve", primes, "vsc_primes",
+                 lambda k: vsc_primes(k)[::-1], id="unsorted"),
+    pytest.param("vsc-divisors-vs-sieve", primes, "vsc_primes",
+                 lambda k: vsc_primes(k) + vsc_primes(k)[-1:], id="repeat"),
+    pytest.param("vsc-divisors-vs-sieve", primes, "vsc_primes",
+                 lambda k: [p for p in vsc_primes(k) if p != 3], id="missing-3"),
+    # 5 is kept at k = 4 and dropped at k = 12
+    pytest.param("vsc-divisors-vs-sieve", primes, "vsc_primes",
+                 lambda k: [p for p in vsc_primes(k) if not (p == 5 and k % 3 == 0)], id="not-monotone"),
+    pytest.param("three-route-agreement", powersum, "s_brute",
+                 lambda q: s_brute(q) - q.n**q.k, id="no-last-term"),
+    pytest.param("modular-consistency", powersum, "s_brute",
+                 lambda q: s_brute(q) + (q.n == 7), id="off-by-one-at-7"),
+    pytest.param("theorem-vs-oracle", powersum, "mu",
+                 lambda q: dataclasses.replace(mu(q), integral=mu(q).integral != ((q.k, q.n) == (4, 9))),
+                 id="flipped-mu"),
+]
+
+
+@pytest.mark.parametrize("group,module,name,fault", FAULTS)
+def test_group_catches_fault(monkeypatch, group, module, name, fault):
+    monkeypatch.setattr(module, name, fault)
+    with pytest.raises(selftest.InvariantViolation):
+        dict(selftest.GROUPS)[group](True)
 
 
 def test_docstring_examples():
