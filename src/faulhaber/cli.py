@@ -8,7 +8,7 @@ key order.  Exact values are always rendered as decimal strings or
 replaces the exact form.
 
 Exit codes: 0 success (and "integral" for check), 1 not integral (check
-only), 2 usage or input error, 3 internal inconsistency.
+only), 2 usage or input error or a closed stdout, 3 internal inconsistency.
 """
 
 from __future__ import annotations
@@ -16,6 +16,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import os
 import sys
 from decimal import Decimal, localcontext
 from fractions import Fraction
@@ -324,7 +325,16 @@ def main(argv: list[str] | None = None) -> int:
         sys.set_int_max_str_digits(0)
     args = build_parser().parse_args(argv)
     try:
-        return args.handler(args)
+        code = args.handler(args)
+        sys.stdout.flush()  # a closed stdout fails here at the latest, not at exit
+        return code
+    except BrokenPipeError:
+        # later writes, the interpreter's final flush among them, go nowhere
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        print("error: standard output was closed", file=sys.stderr)
+        return 2
     except (ValueError, ZeroDivisionError, primes.FactorizationError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -3,7 +3,7 @@
 * ``s_brute``      -- direct accumulation; the ground-truth oracle.
 * ``s_faulhaber``  -- the Bernoulli closed form
                       (k+1) S_k(n) = sum_{j=0}^{k} C(k+1, j) B_j (n+1)^{k+1-j},
-                      evaluated in exact rationals.
+                      evaluated in integers over one common denominator.
 * ``s_recursive``  -- the Ars-Conjectandi triangular system
                       (n+1)^{k+1} = (n+1) + sum_{j=1}^{k} C(k+1, j) S_j(n),
                       solved bottom-up with exact divisions.
@@ -74,25 +74,28 @@ def s_brute(q: PowerSumQuery) -> int:
 def s_faulhaber(q: PowerSumQuery, table: bernoulli.BernoulliTable | None = None) -> int:
     """Evaluate the Bernoulli closed form exactly and return the integer sum.
 
-    The accumulation stays rational until the final division by k + 1; the
-    exactness check at the end doubles as a self-test of the table.
+    Every B_j is scaled by the lcm L of the denominators, the closed form is
+    summed in integers by Horner's rule in n + 1, and one division by
+    L (k + 1) ends it; a nonzero remainder is a self-test of the table failing.
     """
     k, n = q.k, q.n
     if table is None:
         table = bernoulli.bernoulli_recursive(k)
     elif table.limit < k:
         raise ValueError(f"table covers 0..{table.limit}, need index {k}")
-    acc = Fraction(0)
-    power = 1  # (n+1)^(k+1-j), built up as j descends from k to 0
-    for j in range(k, -1, -1):
-        power *= n + 1
-        bj = table[j]
-        if bj:
-            acc += math.comb(k + 1, j) * bj * power
-    s = acc / (k + 1)
-    if s.denominator != 1:
-        raise InconsistencyError(f"closed form gave non-integer {s} for {q}")
-    return s.numerator
+    bs = table.values[: k + 1]
+    lcm = math.lcm(*(b.denominator for b in bs))
+    acc, binom = 0, 1  # acc ends as L (k+1) S_k(n); binom is C(k+1, j)
+    for j, b in enumerate(bs):
+        if b:
+            acc += binom * b.numerator * (lcm // b.denominator)
+        acc *= n + 1
+        binom = binom * (k + 1 - j) // (j + 1)
+    s, rem = divmod(acc, lcm * (k + 1))
+    if rem:
+        value = Fraction(acc, lcm * (k + 1))
+        raise InconsistencyError(f"closed form gave non-integer {value} for {q}")
+    return s
 
 
 def s_recursive(kmax: int, n: int) -> list[int]:

@@ -6,7 +6,7 @@ the route it pins, then the oracle it is held to.
 
 * vsc-divisors-vs-sieve    ``vsc_primes`` vs a sieve filtered by (p-1) | k, even k <= 5000
 * factorize-roundtrip      ``factorize`` vs multiplying the factors back, n <= 10^4
-* route-equivalence        ``bernoulli_recursive`` vs ``bernoulli_egf``, B_0..B_40
+* route-equivalence        ``bernoulli_recursive`` (tangent numbers) vs ``bernoulli_egf``, B_0..B_40
 * odd-vanishing            both Bernoulli routes vs zero at odd indices 3..49
 * vsc-consistency          reduced denominators of B_k vs ``vsc_denominator``, even k <= 60
 * irregular-scan           ``is_regular`` vs the known irregular primes 37, 59, 67 below 100

@@ -8,6 +8,7 @@ from faulhaber.bernoulli import (
     is_regular,
     vsc_denominator,
 )
+from faulhaber.primes import is_prime
 
 
 def test_base_case_and_sign_convention():
@@ -20,6 +21,10 @@ def test_sixth_value_both_routes():
     # denominator route confirms: primes with (p-1) | 6 are 2, 3, 7, product 42
     assert bernoulli_recursive(6)[6] == Fraction(1, 42)
     assert bernoulli_egf(6)[6] == Fraction(1, 42)
+
+
+def test_recursive_matches_egf_oracle_to_256():
+    assert bernoulli_recursive(256).values == bernoulli_egf(256).values
 
 
 def test_egf_entry_8():
@@ -65,6 +70,20 @@ def test_irregular_37_with_offending_index():
     assert offending == (32,)
     # verify the witness directly: 37 divides that numerator
     assert bernoulli_recursive(32).numerator(32) % 37 == 0
+
+
+# OEIS A000928, every irregular prime below 700
+IRREGULAR_BELOW_700 = (
+    37, 59, 67, 101, 103, 131, 149, 157, 233, 257, 263, 271, 283, 293, 307, 311,
+    347, 353, 379, 389, 401, 409, 421, 433, 461, 463, 467, 491, 523, 541, 547,
+    557, 577, 587, 593, 607, 613, 617, 619, 631, 647, 653, 659, 673, 677, 683, 691,
+)
+
+
+def test_irregular_primes_below_700():
+    found = tuple(p for p in range(5, 700) if is_prime(p) and not is_regular(p)[0])
+    assert len(IRREGULAR_BELOW_700) == 47
+    assert found == IRREGULAR_BELOW_700
 
 
 def test_is_regular_rejects_bad_inputs():

@@ -1,5 +1,6 @@
 import dataclasses
 import json
+import os
 import subprocess
 import sys
 from decimal import Decimal
@@ -378,3 +379,29 @@ def test_module_entry_point_runs(src_env):
     )
     assert proc.returncode == 0
     assert proc.stdout.strip() == "integral"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["check", "4", "7"], ["table", "8", "4000"]],
+    ids=["fails-on-final-flush", "fails-mid-output"],
+)
+def test_closed_stdout_exits_2_without_traceback(src_env, argv):
+    # the read end is closed before the child starts, so its first write fails;
+    # stdout is block-buffered, so a short output is first written by the flush
+    env = {key: value for key, value in src_env.items() if key != "PYTHONUNBUFFERED"}
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "faulhaber", *argv],
+            stdout=write_end,
+            stderr=subprocess.PIPE,
+            text=True,
+            env=env,
+            timeout=120,
+        )
+    finally:
+        os.close(write_end)
+    assert proc.returncode == 2
+    assert proc.stderr == "error: standard output was closed\n"
