@@ -70,9 +70,9 @@ _egf_coeffs: list[Fraction] = [Fraction(1)]  # coefficients of x/(e^x - 1)
 
 
 def _extend_recursive(limit: int) -> None:
-    # Brent-Harvey run row by row; here column n is built from column n-1,
+    # Brent and Harvey sweep their triangle row by row; built column by column,
     #   c_n[1] = (n-1) c_{n-1}[1],  c_n[s] = (n-s) c_{n-1}[s] + (n-s+2) c_n[s-1],
-    # with c_{n-1}[n] = 0 and T_n = c_n[n], so growing costs the new columns only
+    # with c_{n-1}[n] = 0 and T_n = c_n[n], growing the memo costs the new columns only
     vals, col = _recursive_values, _tangent_column
     while len(vals) <= limit:
         n = len(col) + 1

@@ -76,7 +76,7 @@ def s_faulhaber(q: PowerSumQuery, table: bernoulli.BernoulliTable | None = None)
 
     Every B_j is scaled by the lcm L of the denominators, the closed form is
     summed in integers by Horner's rule in n + 1, and one division by
-    L (k + 1) ends it; a nonzero remainder is a self-test of the table failing.
+    L (k + 1) ends it; a nonzero remainder means a bad table and is raised.
     """
     k, n = q.k, q.n
     if table is None:
