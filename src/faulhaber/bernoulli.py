@@ -128,6 +128,8 @@ def vsc_denominator(k: int) -> int:
     Equals the denominator of B_k in lowest terms, and is square-free.
     Needs only the divisors of k and a primality test on each d + 1, never a
     Bernoulli table; k must factor within ``primes.DEFAULT_FACTOR_BOUND``.
+    A miss multiplies the primes of ``primes.vsc_primes``, which filters
+    each k once per process.
     """
     return math.prod(primes.vsc_primes(k))
 

@@ -85,26 +85,32 @@ class ResiduePrediction:
         return self.p**self.a
 
 
+# every verdict but an even-k "no" is one of these; a "no" under the k = 1
+# rule has n even (residue 0), one under the odd rule has n = 2 mod 4
+_K1_YES = Verdict(integral=True, rule=RULE_K1)
+_K1_NO = Verdict(integral=False, rule=RULE_K1, witness_residue=0)
+_ODD_YES = Verdict(integral=True, rule=RULE_ODD)
+_ODD_NO = Verdict(integral=False, rule=RULE_ODD, witness_residue=2)
+_EVEN_YES = Verdict(integral=True, rule=RULE_EVEN)
+
+
 def decide(k: int, n: int) -> Verdict:
     """Integrality of the average of the first n k-th powers, with witness.
 
-    Cost after the per-k precomputation: one gcd, no factorization of n.
+    Cost after the per-k precomputation: one gcd, no factorization of n; a
+    "no" for even k adds one pass over the cached primes of k.
     """
     if k < 1:
         raise ValueError(f"exponent k must be >= 1, got {k}")
     if n < 1:
         raise ValueError(f"upper limit n must be >= 1, got {n}")
     if k == 1:
-        if n % 2 == 1:
-            return Verdict(integral=True, rule=RULE_K1)
-        return Verdict(integral=False, rule=RULE_K1, witness_residue=n % 2)
+        return _K1_YES if n % 2 == 1 else _K1_NO
     if k % 2 == 1:
-        if n % 4 != 2:
-            return Verdict(integral=True, rule=RULE_ODD)
-        return Verdict(integral=False, rule=RULE_ODD, witness_residue=n % 4)
+        return _ODD_YES if n % 4 != 2 else _ODD_NO
     g = math.gcd(n, bernoulli.vsc_denominator(k))
     if g == 1:
-        return Verdict(integral=True, rule=RULE_EVEN)
+        return _EVEN_YES
     # g divides the square-free modulus, so one pass over its prime
     # candidates recovers the witness set exactly
     witness = tuple(p for p in primes.vsc_primes(k) if g % p == 0)

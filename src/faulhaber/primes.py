@@ -3,15 +3,18 @@
 For even k, the primes p with (p-1) | k are exactly the primes in the
 denominator of the k-th Bernoulli number (von Staudt-Clausen), and they
 drive the fast integrality test.  They are the primes d + 1 with d | k, so
-the filter factors k and tests each d + 1.  Factoring and primality share
-one trial-division loop bounded by ``DEFAULT_FACTOR_BOUND``; the sieve is
-only the reference the selftest holds the filter against.
+the filter factors k and tests each d + 1, once per k in a process: its
+result is cached as a tuple, and later calls for the same k copy it.
+Factoring and primality share one trial-division loop bounded by
+``DEFAULT_FACTOR_BOUND``; the sieve is only the reference the selftest
+holds the filter against.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 __all__ = [
     "PrimeSieve",
@@ -98,15 +101,22 @@ def is_prime(n: int) -> bool:
 def vsc_primes(k: int) -> list[int]:
     """All primes p with (p-1) | k, ascending, for even k >= 2.
 
-    Always contains 2 and 3, and nothing above k + 1.  Costs one
-    ``factorize(k)`` and one ``is_prime`` per divisor of k.
+    Always contains 2 and 3, and nothing above k + 1.  The first call for
+    each k runs the filter, one ``factorize(k)`` and one ``is_prime`` per
+    divisor of k; later calls copy the cached tuple into a fresh list.  A k
+    that raises is not cached, so it raises again.
     """
     if k < 2 or k % 2 != 0:
         raise ValueError(f"k must be a positive even integer, got {k}")
+    return list(_filtered_vsc_primes(k))
+
+
+@lru_cache(maxsize=None)
+def _filtered_vsc_primes(k: int) -> tuple[int, ...]:
     divisors = [1]
     for p, a in factorize(k):
         divisors = [d * p**e for d in divisors for e in range(a + 1)]
-    return sorted(d + 1 for d in divisors if is_prime(d + 1))
+    return tuple(sorted(d + 1 for d in divisors if is_prime(d + 1)))
 
 
 def factorize(n: int, bound: int = DEFAULT_FACTOR_BOUND) -> Factorization:

@@ -8,7 +8,7 @@ tolerances anywhere, only wall-clock budgets.
 import time
 from fractions import Fraction
 
-from faulhaber import bench, bernoulli
+from faulhaber import bench, bernoulli, primes
 from faulhaber.bernoulli import bernoulli_egf, bernoulli_recursive, vsc_denominator
 from faulhaber.integrality import decide, predict_residue, prime_block_sum
 from faulhaber.powersum import PowerSumQuery, mu, s_brute, s_faulhaber, s_mod, s_recursive
@@ -117,7 +117,9 @@ def test_criterion_08_irregular_primes_below_100():
 
 
 def test_criterion_09_decision_beats_summation():
-    bernoulli.vsc_denominator.cache_clear()  # time the cold path, sieve included
+    # time the cold path, prime filter included
+    bernoulli.vsc_denominator.cache_clear()
+    primes._filtered_vsc_primes.cache_clear()
     start = time.perf_counter()
     verdict = decide(1000, 10**9)
     decide_s = time.perf_counter() - start

@@ -128,6 +128,7 @@ def test_denom_filters_primes_once(capsys, monkeypatch):
         return vsc_primes(k)
 
     faulhaber.bernoulli.vsc_denominator.cache_clear()
+    faulhaber.primes._filtered_vsc_primes.cache_clear()
     monkeypatch.setattr(faulhaber.primes, "vsc_primes", counted)
     code, _, _ = run_cli(capsys, "denom", "720720")
     assert code == 0

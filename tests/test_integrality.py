@@ -2,11 +2,13 @@ import math
 
 import pytest
 
+from faulhaber import bernoulli, primes
 from faulhaber.bernoulli import vsc_denominator
 from faulhaber.integrality import (
     RULE_EVEN,
     RULE_K1,
     RULE_ODD,
+    Verdict,
     decide,
     grid,
     predict_residue,
@@ -43,6 +45,46 @@ def test_decide_k1_cases():
     assert not v.integral
     assert v.rule == RULE_K1
     assert v.witness_residue == 0
+
+
+def built_verdict(k, n):
+    """The verdict built field by field, the way decide built each one
+    before the fixed verdicts became shared constants."""
+    if k == 1:
+        if n % 2 == 1:
+            return Verdict(integral=True, rule=RULE_K1)
+        return Verdict(integral=False, rule=RULE_K1, witness_residue=n % 2)
+    if k % 2 == 1:
+        if n % 4 != 2:
+            return Verdict(integral=True, rule=RULE_ODD)
+        return Verdict(integral=False, rule=RULE_ODD, witness_residue=n % 4)
+    if math.gcd(n, vsc_denominator(k)) == 1:
+        return Verdict(integral=True, rule=RULE_EVEN)
+    witness = tuple(p for p in primes.vsc_primes(k) if n % p == 0)
+    return Verdict(integral=False, rule=RULE_EVEN, witness_primes=witness)
+
+
+def test_shared_verdicts_equal_freshly_built_ones():
+    for k in range(1, 13):
+        for n in list(range(1, 41)) + [10**30 + 1, 10**30 + 2, 10**30 + 4]:
+            assert decide(k, n) == built_verdict(k, n)
+
+
+def test_witness_reuses_the_filter(monkeypatch):
+    calls = []
+    factorize = primes.factorize
+
+    def counted(n, *args):
+        calls.append(n)
+        return factorize(n, *args)
+
+    bernoulli.vsc_denominator.cache_clear()
+    primes._filtered_vsc_primes.cache_clear()
+    monkeypatch.setattr(primes, "factorize", counted)
+    assert decide(12, 6).witness_primes == (2, 3)
+    assert decide(12, 6).witness_primes == (2, 3)
+    assert decide(12, 35).witness_primes == (5, 7)
+    assert calls == [12]
 
 
 def test_decide_validates_inputs():

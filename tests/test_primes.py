@@ -73,6 +73,18 @@ def test_vsc_primes_matches_direct_filter():
         assert vsc_primes(k) == expected
 
 
+def test_vsc_primes_returns_a_fresh_list():
+    vsc_primes(12).append(99)
+    assert vsc_primes(12) == [2, 3, 5, 7, 13]
+
+
+def test_vsc_primes_does_not_cache_errors():
+    # 2 * 10000000000037, a prime cofactor past the trial-division budget
+    for _ in range(2):
+        with pytest.raises(FactorizationError):
+            vsc_primes(20000000000074)
+
+
 def test_vsc_primes_rejects_odd_or_nonpositive():
     for k in (3, 1, 0, -2):
         with pytest.raises(ValueError):
