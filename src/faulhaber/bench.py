@@ -15,11 +15,12 @@ Whenever two methods both finish a cell, their verdicts are cross-checked.
 
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import dataclass
 
 from . import integrality
-from .powersum import InconsistencyError
+from .powersum import InconsistencyError, PowerSumQuery
 
 __all__ = ["BenchCell", "DEFAULT_CELLS", "DEFAULT_BUDGET_MS", "run_bench"]
 
@@ -74,7 +75,16 @@ def run_bench(
     cells: tuple[tuple[int, int], ...] = DEFAULT_CELLS,
     budget_ms: float = DEFAULT_BUDGET_MS,
 ) -> list[BenchCell]:
-    """Time every method on every cell; raises on verdict disagreement."""
+    """Time every method on every cell; raises on verdict disagreement.
+
+    The budget and every cell are checked before the first cell is timed,
+    so a bad argument fails at once: a budget that is not a finite number
+    of ms > 0 would never expire, and a cell needs k >= 1 and n >= 1.
+    """
+    if not 0 < budget_ms < math.inf:
+        raise ValueError(f"budget must be a finite number of ms > 0, got {budget_ms}")
+    for k, n in cells:
+        PowerSumQuery(k=k, n=n)
     budget_s = budget_ms / 1000.0
     out: list[BenchCell] = []
     for k, n in cells:

@@ -74,9 +74,14 @@ def s_brute(q: PowerSumQuery) -> int:
 def s_faulhaber(q: PowerSumQuery, table: bernoulli.BernoulliTable | None = None) -> int:
     """Evaluate the Bernoulli closed form exactly and return the integer sum.
 
-    Every B_j is scaled by the lcm L of the denominators, the closed form is
-    summed in integers by Horner's rule in n + 1, and one division by
-    L (k + 1) ends it; a nonzero remainder means a bad table and is raised.
+    Every B_j is scaled by the lcm L of the distinct denominators, which
+    makes L (k + 1) S_k(n) an integer polynomial in x = n + 1.  It is
+    evaluated as a balanced product tree (Estrin's scheme): neighbouring
+    coefficients pair up as c_i + c_{i+1} x, those pairs pair up under x^2,
+    then x^4, and so on, so the large products near the top are of equal
+    size and take CPython's Karatsuba path instead of k schoolbook steps.
+    One division by L (k + 1) ends it; a nonzero remainder means a bad
+    table and is raised.
     """
     k, n = q.k, q.n
     if table is None:
@@ -84,13 +89,24 @@ def s_faulhaber(q: PowerSumQuery, table: bernoulli.BernoulliTable | None = None)
     elif table.limit < k:
         raise ValueError(f"table covers 0..{table.limit}, need index {k}")
     bs = table.values[: k + 1]
-    lcm = math.lcm(*(b.denominator for b in bs))
-    acc, binom = 0, 1  # acc ends as L (k+1) S_k(n); binom is C(k+1, j)
+    lcm = math.lcm(*{b.denominator for b in bs})
+    # c[i] is the coefficient of x^i: C(k+1, j) L B_j at i = k + 1 - j
+    c = [0] * (k + 2)
+    binom = 1  # C(k+1, j)
     for j, b in enumerate(bs):
         if b:
-            acc += binom * b.numerator * (lcm // b.denominator)
-        acc *= n + 1
+            c[k + 1 - j] = b.numerator * (binom * (lcm // b.denominator))
         binom = binom * (k + 1 - j) // (j + 1)
+    x = n + 1
+    while True:
+        if len(c) % 2:  # fold the top into its neighbour rather than pad
+            top = c.pop()
+            c[-1] += top * x
+        c = [lo + hi * x for lo, hi in zip(c[::2], c[1::2])]
+        if len(c) == 1:
+            break
+        x *= x
+    acc = c[0]
     s, rem = divmod(acc, lcm * (k + 1))
     if rem:
         value = Fraction(acc, lcm * (k + 1))
