@@ -103,14 +103,13 @@ def s_faulhaber(q: PowerSumQuery, table: bernoulli.BernoulliTable | None = None)
             top = c.pop()
             c[-1] += top * x
         c = [lo + hi * x for lo, hi in zip(c[::2], c[1::2])]
-        if len(c) == 1:
+        if len(c) == 1:  # stop before squaring x once more for nothing
             break
         x *= x
-    acc = c[0]
-    s, rem = divmod(acc, lcm * (k + 1))
+    s, rem = divmod(c[0], lcm * (k + 1))
     if rem:
-        value = Fraction(acc, lcm * (k + 1))
-        raise InconsistencyError(f"closed form gave non-integer {value} for {q}")
+        # the value itself can pass the int-to-str digit limit; leave it out
+        raise InconsistencyError(f"closed form gave a non-integer for {q}")
     return s
 
 

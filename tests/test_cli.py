@@ -371,6 +371,31 @@ def test_bench_extra_cell_needs_both_bounds(capsys, given, missing):
     assert f"{missing} is missing" in err
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["--budget-ms", "nan"],
+        ["--budget-ms", "inf"],
+        ["--budget-ms", "-5"],
+        ["--budget-ms", "0"],
+        ["--kmax", "0", "--nmax", "5"],
+        ["--kmax", "5", "--nmax", "0"],
+    ],
+    ids=["budget-nan", "budget-inf", "budget-negative", "budget-zero", "k-zero", "n-zero"],
+)
+def test_bench_bad_argument_exits_2_before_any_cell(capsys, monkeypatch, argv):
+    # a budget that is not finite and > 0 never expires, and the default
+    # cells run for seconds before a bad extra cell would be reached
+    calls = []
+    decide = faulhaber.integrality.decide
+    monkeypatch.setattr(faulhaber.integrality, "decide", lambda k, n: calls.append(k) or decide(k, n))
+    code, out, err = run_cli(capsys, "bench", *argv)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ")
+    assert calls == []
+
+
 def test_module_entry_point_runs(src_env):
     proc = subprocess.run(
         [sys.executable, "-m", "faulhaber", "check", "4", "7"],

@@ -88,3 +88,45 @@ def test_faulhaber_inconsistency_is_loud():
     )
     with pytest.raises(InconsistencyError):
         s_faulhaber(PowerSumQuery(k=4, n=5), bad)
+
+
+def test_faulhaber_matches_recursive_at_large_n():
+    n = 10**40 + 12345
+    table = bernoulli_recursive(64)
+    rec = s_recursive(64, n)
+    for k in range(1, 65):
+        assert s_faulhaber(PowerSumQuery(k=k, n=n), table) == rec[k - 1], k
+
+
+# the product tree over k + 2 coefficients folds an odd top at depth d when
+# bit d of k + 2 is set and k + 2 >= 3 * 2^d: every k <= 300 covers d <= 6,
+# k = 3 * 2^d - 2 covers d = 7, 8, 9, and k on either side of 512 and 1024
+# are where the tree gains a level
+FOLD_SHAPE_KS = [*range(1, 301), 382, 766, 1534, 511, 512, 513, 1023, 1024, 1025]
+
+
+def test_faulhaber_matches_modular_sums_at_large_k():
+    n = 10**40 + 12347
+    table = bernoulli_recursive(max(FOLD_SHAPE_KS))
+    for p in (997, 1009, 1013):
+        blocks, rest = divmod(n, p)
+        assert rest, p
+        for k in FOLD_SHAPE_KS:
+            # S_k(n) mod p from the period p of j^k mod p
+            period, tail = s_mod(PowerSumQuery(k=k, n=p), p), s_mod(PowerSumQuery(k=k, n=rest), p)
+            expected = (blocks * period + tail) % p
+            assert s_faulhaber(PowerSumQuery(k=k, n=n), table) % p == expected, (k, p)
+
+
+def test_faulhaber_inconsistency_is_loud_at_large_index():
+    # B_256 + 1 changes L (k+1) S_511(n) by C(512, 256) L (n+1)^256; with n even,
+    # (n+1)^256 is odd and C(512, 256) carries a single factor 2, so the change
+    # holds 2^2 against the 2^10 in L * 512 and the division cannot come out
+    # exact.  (At a k with k + 1 prime the same corruption can pass the check.)
+    good = bernoulli_recursive(511)
+    values = list(good.values)
+    values[256] += 1
+    bad = BernoulliTable(limit=511, values=tuple(values), route="recursive")
+    for n in (2, 10**40):
+        with pytest.raises(InconsistencyError):
+            s_faulhaber(PowerSumQuery(k=511, n=n), bad)
