@@ -41,7 +41,7 @@ print()
 print("Regularity scan (does p divide an early numerator?)")
 print("---------------------------------------------------")
 irregular = []
-for p in sieve(99).primes():
+for p in sieve(99):
     if p < 5:
         continue
     regular, offending = is_regular(p)
@@ -50,5 +50,5 @@ for p in sieve(99).primes():
 print("irregular primes below 100:", ", ".join(str(p) for p, _ in irregular))
 for p, offending in irregular:
     k = offending[0]
-    n_k = bernoulli_recursive(k).numerator(k)
+    n_k = bernoulli_recursive(k)[k].numerator
     print(f"  p={p}: divides numerator of index {k} ({n_k})")

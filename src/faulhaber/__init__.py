@@ -35,9 +35,7 @@ from .powersum import (
     s_recursive,
 )
 from .primes import (
-    Factorization,
     FactorizationError,
-    PrimeSieve,
     factorize,
     sieve,
     vsc_primes,
@@ -69,9 +67,7 @@ __all__ = [
     "s_faulhaber",
     "s_mod",
     "s_recursive",
-    "Factorization",
     "FactorizationError",
-    "PrimeSieve",
     "factorize",
     "sieve",
     "vsc_primes",

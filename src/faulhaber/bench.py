@@ -22,7 +22,7 @@ from dataclasses import dataclass
 from . import integrality
 from .powersum import InconsistencyError, PowerSumQuery
 
-__all__ = ["BenchCell", "DEFAULT_CELLS", "DEFAULT_BUDGET_MS", "run_bench"]
+__all__ = ["BenchCell", "DEFAULT_CELLS", "DEFAULT_BUDGET_MS", "run_bench", "speedup_estimate"]
 
 DEFAULT_CELLS: tuple[tuple[int, int], ...] = (
     (2, 100),

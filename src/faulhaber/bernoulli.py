@@ -53,12 +53,6 @@ class BernoulliTable:
             raise IndexError(f"index {k} outside table range 0..{self.limit}")
         return self.values[k]
 
-    def numerator(self, k: int) -> int:
-        return self[k].numerator
-
-    def denominator(self, k: int) -> int:
-        return self[k].denominator
-
 
 # per-process memo, grown on demand; duplicate extension under a race is
 # idempotent, the lock just keeps the growth single-threaded
@@ -143,5 +137,5 @@ def is_regular(p: int) -> tuple[bool, tuple[int, ...]]:
     if p < 5 or not primes.is_prime(p):
         raise ValueError(f"regularity is defined for primes >= 5, got {p}")
     table = bernoulli_recursive(p - 3)
-    offending = tuple(k for k in range(2, p - 2, 2) if table.numerator(k) % p == 0)
+    offending = tuple(k for k in range(2, p - 2, 2) if table[k].numerator % p == 0)
     return (not offending, offending)

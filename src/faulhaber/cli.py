@@ -321,10 +321,12 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     if hasattr(sys.stdout, "reconfigure"):
         sys.stdout.reconfigure(encoding="utf-8")
+    saved_limit = None
     if hasattr(sys, "set_int_max_str_digits"):  # exact values may exceed 4300 digits
+        saved_limit = sys.get_int_max_str_digits()
         sys.set_int_max_str_digits(0)
-    args = build_parser().parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         code = args.handler(args)
         sys.stdout.flush()  # a closed stdout fails here at the latest, not at exit
         return code
@@ -341,6 +343,10 @@ def main(argv: list[str] | None = None) -> int:
     except InconsistencyError as exc:
         print(f"internal inconsistency: {exc}", file=sys.stderr)
         return 3
+    finally:
+        # the limit is process-wide; callers in this interpreter keep theirs
+        if saved_limit is not None:
+            sys.set_int_max_str_digits(saved_limit)
 
 
 def entry() -> None:

@@ -1,24 +1,22 @@
-"""The (p-1) | k prime filter, budgeted trial division, and a reference sieve.
+"""The (p-1) | k prime filter, budgeted trial division, and a sieve.
 
 For even k, the primes p with (p-1) | k are exactly the primes in the
 denominator of the k-th Bernoulli number (von Staudt-Clausen), and they
 drive the fast integrality test.  They are the primes d + 1 with d | k, so
 the filter factors k and tests each d + 1, once per k in a process: its
-result is cached as a tuple, and later calls for the same k copy it.
-Factoring and primality share one trial-division loop bounded by
-``DEFAULT_FACTOR_BOUND``; the sieve is only the reference the selftest
-holds the filter against.
+result is cached as a tuple, and later calls for the same k return that
+tuple.  Factoring and primality share one trial-division loop bounded by
+``DEFAULT_FACTOR_BOUND``.  ``sieve`` lists the primes up to a limit: the
+selftest holds the filter against it, and the scans over small primes
+(Kummer regularity, the prime block sums) take their primes from it.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import lru_cache
 
 __all__ = [
-    "PrimeSieve",
-    "Factorization",
     "FactorizationError",
     "sieve",
     "is_prime",
@@ -34,33 +32,12 @@ class FactorizationError(Exception):
     """Raised when a cofactor survives the trial-division budget unfactored."""
 
 
-@dataclass(frozen=True)
-class PrimeSieve:
-    """Eratosthenes primality table for 0..limit, immutable once built."""
+def sieve(limit: int) -> list[int]:
+    """Sieve of Eratosthenes: the primes up to ``limit`` (must be >= 2), ascending.
 
-    limit: int
-    flags: bytes
-
-    def primes(self) -> list[int]:
-        return [i for i, f in enumerate(self.flags) if f]
-
-
-@dataclass(frozen=True)
-class Factorization:
-    """Complete factorization as (prime, exponent) pairs, primes ascending."""
-
-    factors: tuple[tuple[int, int], ...]
-
-    @property
-    def value(self) -> int:
-        return math.prod(p**a for p, a in self.factors)
-
-    def __iter__(self):
-        return iter(self.factors)
-
-
-def sieve(limit: int) -> PrimeSieve:
-    """Sieve of Eratosthenes up to and including ``limit`` (must be >= 2)."""
+    >>> sieve(10)
+    [2, 3, 5, 7]
+    """
     if limit < 2:
         raise ValueError(f"sieve limit must be >= 2, got {limit}")
     flags = bytearray([1]) * (limit + 1)
@@ -68,7 +45,7 @@ def sieve(limit: int) -> PrimeSieve:
     for p in range(2, math.isqrt(limit) + 1):
         if flags[p]:
             flags[p * p :: p] = bytes(len(flags[p * p :: p]))
-    return PrimeSieve(limit=limit, flags=bytes(flags))
+    return [i for i, f in enumerate(flags) if f]
 
 
 def _least_factor(n: int, start: int, bound: int) -> int:
@@ -98,32 +75,32 @@ def is_prime(n: int) -> bool:
     return n >= 2 and _least_factor(n, 2, DEFAULT_FACTOR_BOUND) == n
 
 
-def vsc_primes(k: int) -> list[int]:
+@lru_cache(maxsize=None)
+def vsc_primes(k: int) -> tuple[int, ...]:
     """All primes p with (p-1) | k, ascending, for even k >= 2.
 
     Always contains 2 and 3, and nothing above k + 1.  The first call for
     each k runs the filter, one ``factorize(k)`` and one ``is_prime`` per
-    divisor of k; later calls copy the cached tuple into a fresh list.  A k
-    that raises is not cached, so it raises again.
+    divisor of k; later calls return the cached tuple.  A k that raises is
+    not cached, so it raises again.
     """
     if k < 2 or k % 2 != 0:
         raise ValueError(f"k must be a positive even integer, got {k}")
-    return list(_filtered_vsc_primes(k))
-
-
-@lru_cache(maxsize=None)
-def _filtered_vsc_primes(k: int) -> tuple[int, ...]:
     divisors = [1]
     for p, a in factorize(k):
         divisors = [d * p**e for d in divisors for e in range(a + 1)]
     return tuple(sorted(d + 1 for d in divisors if is_prime(d + 1)))
 
 
-def factorize(n: int, bound: int = DEFAULT_FACTOR_BOUND) -> Factorization:
+def factorize(n: int, bound: int = DEFAULT_FACTOR_BOUND) -> tuple[tuple[int, int], ...]:
     """Factor n >= 2 by trial division with divisors capped at ``bound``.
 
-    Raises ``FactorizationError`` once a cofactor cannot be certified within
-    the budget -- never returns a wrong or partial answer.
+    Returns the (prime, exponent) pairs, primes ascending.  Raises
+    ``FactorizationError`` once a cofactor cannot be certified within the
+    budget -- never returns a wrong or partial answer.
+
+    >>> factorize(12)
+    ((2, 2), (3, 1))
     """
     if n < 2:
         raise ValueError(f"factorize requires n >= 2, got {n}")
@@ -137,4 +114,4 @@ def factorize(n: int, bound: int = DEFAULT_FACTOR_BOUND) -> Factorization:
             r //= d
             a += 1
         factors.append((d, a))
-    return Factorization(factors=tuple(factors))
+    return tuple(factors)

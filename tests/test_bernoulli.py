@@ -69,7 +69,7 @@ def test_irregular_37_with_offending_index():
     assert not regular
     assert offending == (32,)
     # verify the witness directly: 37 divides that numerator
-    assert bernoulli_recursive(32).numerator(32) % 37 == 0
+    assert bernoulli_recursive(32)[32].numerator % 37 == 0
 
 
 # OEIS A000928, every irregular prime below 700

@@ -128,7 +128,7 @@ def test_denom_filters_primes_once(capsys, monkeypatch):
         return vsc_primes(k)
 
     faulhaber.bernoulli.vsc_denominator.cache_clear()
-    faulhaber.primes._filtered_vsc_primes.cache_clear()
+    faulhaber.primes.vsc_primes.cache_clear()
     monkeypatch.setattr(faulhaber.primes, "vsc_primes", counted)
     code, _, _ = run_cli(capsys, "denom", "720720")
     assert code == 0
@@ -147,6 +147,20 @@ def test_sum_prints_values_past_4300_digits(capsys):
     assert code == 0
     assert len(out.strip()) > 4300
     assert out.strip().isdigit()
+
+
+@pytest.mark.skipif(not hasattr(sys, "get_int_max_str_digits"), reason="no int digit limit")
+def test_main_restores_the_int_digit_limit(capsys):
+    # a known nonzero limit, whatever earlier tests left behind
+    before = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(4300)
+    try:
+        code, out, _ = run_cli(capsys, "sum", "2000", "1000", "--route", "brute")
+        assert code == 0
+        assert len(out.strip()) > 4300
+        assert sys.get_int_max_str_digits() == 4300
+    finally:
+        sys.set_int_max_str_digits(before)
 
 
 def test_sum_route_all_reports_agreement(capsys):

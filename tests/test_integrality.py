@@ -79,7 +79,7 @@ def test_witness_reuses_the_filter(monkeypatch):
         return factorize(n, *args)
 
     bernoulli.vsc_denominator.cache_clear()
-    primes._filtered_vsc_primes.cache_clear()
+    primes.vsc_primes.cache_clear()
     monkeypatch.setattr(primes, "factorize", counted)
     assert decide(12, 6).witness_primes == (2, 3)
     assert decide(12, 6).witness_primes == (2, 3)

@@ -48,12 +48,19 @@ def test_group_catches_fault(monkeypatch, group, module, name, fault):
         dict(selftest.GROUPS)[group](True)
 
 
-def test_docstring_examples():
+def package_modules():
     # __main__ runs the CLI on import
     names = [m.name for m in pkgutil.iter_modules(faulhaber.__path__) if m.name != "__main__"]
-    results = {
-        name: doctest.testmod(importlib.import_module(name))
-        for name in ["faulhaber"] + [f"faulhaber.{n}" for n in names]
-    }
+    return [faulhaber] + [importlib.import_module(f"faulhaber.{n}") for n in names]
+
+
+def test_docstring_examples():
+    results = {module.__name__: doctest.testmod(module) for module in package_modules()}
     assert all(r.failed == 0 for r in results.values()), results
     assert sum(r.attempted for r in results.values()) > 0
+
+
+def test_export_lists_resolve():
+    for module in package_modules():
+        missing = [name for name in module.__all__ if not hasattr(module, name)]
+        assert not missing, (module.__name__, missing)
