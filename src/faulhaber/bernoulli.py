@@ -120,8 +120,10 @@ def vsc_denominator(k: int) -> int:
     """Product of all primes p with (p-1) | k, for even k >= 2.
 
     Equals the denominator of B_k in lowest terms, and is square-free.
-    Needs only the divisors of k and a primality test on each d + 1, never a
-    Bernoulli table; k must factor within ``primes.DEFAULT_FACTOR_BOUND``.
+    Needs only the factorization of k, never a Bernoulli table: besides 2,
+    the primes are the odd 2m + 1 with m | k/2, settled by table lookup
+    below 2^16 and by trial division above.  k must factor within
+    ``primes.DEFAULT_FACTOR_BOUND``.
     A miss multiplies the primes of ``primes.vsc_primes``, which filters
     each k once per process.
     """

@@ -33,6 +33,9 @@ _ROUTES = {
     "recursive": lambda q: powersum.s_recursive(q.k, q.n)[-1],
 }
 
+# s_brute adds n powers one by one; past this many terms it is refused, not run
+_BRUTE_TERM_BOUND = 10**6
+
 
 def _emit(record: dict, as_json: bool, human: str) -> None:
     if as_json:
@@ -74,6 +77,11 @@ def approx_decimal(q: Fraction, digits: int = 12) -> str:
 
 
 def _sum_by_route(k: int, n: int, route: str) -> int:
+    if route in ("brute", "all") and n > _BRUTE_TERM_BOUND:
+        raise ValueError(
+            f"the brute route (in --route {route}) adds n terms one by one and is bounded"
+            f" at n <= {_BRUTE_TERM_BOUND}; use --route faulhaber for larger n"
+        )
     q = PowerSumQuery(k=k, n=n)
     names = _ROUTES if route == "all" else (route,)
     values = {name: _ROUTES[name](q) for name in names}

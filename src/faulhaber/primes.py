@@ -2,19 +2,25 @@
 
 For even k, the primes p with (p-1) | k are exactly the primes in the
 denominator of the k-th Bernoulli number (von Staudt-Clausen), and they
-drive the fast integrality test.  They are the primes d + 1 with d | k, so
-the filter factors k and tests each d + 1, once per k in a process: its
-result is cached as a tuple, and later calls for the same k return that
-tuple.  Factoring and primality share one trial-division loop bounded by
-``DEFAULT_FACTOR_BOUND``.  ``sieve`` lists the primes up to a limit: the
-selftest holds the filter against it, and the scans over small primes
-(Kummer regularity, the prime block sums) take their primes from it.
+drive the fast integrality test.  Besides 2 they are the odd primes
+2m + 1 with m | k/2, so the filter factors k once, lists the divisors m of
+k/2, and looks each candidate below 2^16 up in a table of Eratosthenes
+flags; larger candidates go to ``is_prime``.  The table is built on the
+first filter call, never at import.  Each k is filtered once per process:
+its result is cached as a tuple, and later calls for the same k return
+that tuple.  Factoring and primality share one trial-division loop bounded
+by ``DEFAULT_FACTOR_BOUND``.  ``sieve`` lists the primes up to a limit from
+the same Eratosthenes loop as the table: the selftest holds the filter
+against it, and the scans over small primes (Kummer regularity, the prime
+block sums) take their primes from it.
 """
 
 from __future__ import annotations
 
 import math
-from functools import lru_cache
+from bisect import bisect_left
+from functools import cache, lru_cache
+from itertools import compress
 
 __all__ = [
     "FactorizationError",
@@ -27,9 +33,27 @@ __all__ = [
 
 DEFAULT_FACTOR_BOUND = 10**6
 
+# the filter decides odd candidates below this by table lookup (64 KB of flags)
+_FLAGS_SIZE = 1 << 16
+
 
 class FactorizationError(Exception):
     """Raised when a cofactor survives the trial-division budget unfactored."""
+
+
+def _eratosthenes(limit: int) -> bytearray:
+    """Flags 0..limit, where flags[n] is 1 exactly when n is prime."""
+    flags = bytearray([1]) * (limit + 1)
+    flags[0] = flags[1] = 0
+    for p in range(2, math.isqrt(limit) + 1):
+        if flags[p]:
+            flags[p * p :: p] = bytes((limit - p * p) // p + 1)
+    return flags
+
+
+@cache
+def _small_prime_flags() -> bytes:
+    return bytes(_eratosthenes(_FLAGS_SIZE - 1))  # read-only: every filter call shares it
 
 
 def sieve(limit: int) -> list[int]:
@@ -40,12 +64,7 @@ def sieve(limit: int) -> list[int]:
     """
     if limit < 2:
         raise ValueError(f"sieve limit must be >= 2, got {limit}")
-    flags = bytearray([1]) * (limit + 1)
-    flags[0] = flags[1] = 0
-    for p in range(2, math.isqrt(limit) + 1):
-        if flags[p]:
-            flags[p * p :: p] = bytes(len(flags[p * p :: p]))
-    return [i for i, f in enumerate(flags) if f]
+    return list(compress(range(limit + 1), _eratosthenes(limit)))
 
 
 def _least_factor(n: int, start: int, bound: int) -> int:
@@ -80,16 +99,25 @@ def vsc_primes(k: int) -> tuple[int, ...]:
     """All primes p with (p-1) | k, ascending, for even k >= 2.
 
     Always contains 2 and 3, and nothing above k + 1.  The first call for
-    each k runs the filter, one ``factorize(k)`` and one ``is_prime`` per
-    divisor of k; later calls return the cached tuple.  A k that raises is
-    not cached, so it raises again.
+    each k runs the filter: one ``factorize(k)``, then each odd candidate
+    2m + 1 with m | k/2 is looked up in the Eratosthenes flags below 2^16
+    and passed to ``is_prime`` from 2^16 on.  Later calls return the cached
+    tuple.  A k that raises is not cached, so it raises again.
     """
     if k < 2 or k % 2 != 0:
         raise ValueError(f"k must be a positive even integer, got {k}")
-    divisors = [1]
+    halves = [1]  # the divisors of k/2: factorize(k) with one 2 taken out
     for p, a in factorize(k):
-        divisors = [d * p**e for d in divisors for e in range(a + 1)]
-    return tuple(sorted(d + 1 for d in divisors if is_prime(d + 1)))
+        powers = [p**e for e in range(a if p == 2 else a + 1)]
+        halves = [m * q for m in halves for q in powers]
+    candidates = sorted(2 * m + 1 for m in halves)
+    cut = bisect_left(candidates, _FLAGS_SIZE)
+    flags = _small_prime_flags()
+    return (
+        2,
+        *[c for c in candidates[:cut] if flags[c]],
+        *[c for c in candidates[cut:] if is_prime(c)],
+    )
 
 
 def factorize(n: int, bound: int = DEFAULT_FACTOR_BOUND) -> tuple[tuple[int, int], ...]:

@@ -163,6 +163,22 @@ def test_main_restores_the_int_digit_limit(capsys):
         sys.set_int_max_str_digits(before)
 
 
+@pytest.mark.parametrize("command", ["sum", "avg"])
+@pytest.mark.parametrize("route", ["brute", "all"])
+def test_brute_route_past_its_term_bound_exits_2_before_any_work(capsys, monkeypatch, command, route):
+    # any summation reached would be 10**30 terms of work; none may start
+    def never(*args):
+        raise AssertionError("a summation route ran past the term bound")
+
+    for name in ("s_brute", "s_faulhaber", "s_recursive"):
+        monkeypatch.setattr(faulhaber.powersum, name, never)
+    code, out, err = run_cli(capsys, command, "2", str(10**30), "--route", route)
+    assert code == 2
+    assert out == ""
+    assert "bounded at n <= 1000000" in err
+    assert "--route faulhaber" in err
+
+
 def test_sum_route_all_reports_agreement(capsys):
     _, out, _ = run_cli(capsys, "sum", "2", "4", "--route", "all", "--json")
     record = json.loads(out)

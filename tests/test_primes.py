@@ -1,4 +1,6 @@
 import math
+import subprocess
+import sys
 
 import pytest
 
@@ -18,6 +20,11 @@ def trial_division_is_prime(n):
         if n % d == 0:
             return False
     return True
+
+
+def trial_division_divisors(k):
+    small = [d for d in range(1, math.isqrt(k) + 1) if k % d == 0]
+    return set(small) | {k // d for d in small}
 
 
 def test_sieve_small():
@@ -42,6 +49,13 @@ def test_sieve_agrees_with_trial_division():
     ps = set(sieve(500))
     for n in range(501):
         assert (n in ps) == trial_division_is_prime(n)
+
+
+def test_sieve_to_the_filter_table_edge_agrees_with_is_prime():
+    # the sieve and the filter read flags made by one Eratosthenes loop
+    ps = set(sieve(1 << 16))
+    for n in range((1 << 16) + 1):
+        assert (n in ps) == is_prime(n)
 
 
 def test_sieve_rejects_small_limit():
@@ -73,6 +87,23 @@ def test_vsc_primes_matches_direct_filter():
             p for p in range(2, k + 2) if trial_division_is_prime(p) and k % (p - 1) == 0
         )
         assert vsc_primes(k) == expected
+
+
+def test_vsc_primes_matches_the_divisor_filter_across_the_table_edge():
+    # oracle: d + 1 over every divisor d of k, each settled by trial division
+    straddling = [2 * m for m in range(2**15 - 64, 2**15 + 65)]  # candidates 2m + 1 around 2^16
+    vsc_primes.cache_clear()
+    for k in straddling + [2**17 - 2, 2**17, 2**17 + 2, 2**40, 10**12, 720720000]:
+        divisors = trial_division_divisors(k)
+        expected = tuple(sorted(d + 1 for d in divisors if trial_division_is_prime(d + 1)))
+        assert (k, vsc_primes(k)) == (k, expected)
+
+
+def test_import_leaves_the_filter_table_unbuilt(src_env):
+    probe = "import faulhaber; print(faulhaber.primes._small_prime_flags.cache_info().currsize)"
+    proc = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True, env=src_env)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "0"
 
 
 def test_vsc_primes_returns_the_same_tuple_on_repeat_calls():
