@@ -35,6 +35,13 @@ _ROUTES = {
 
 # s_brute adds n powers one by one; past this many terms it is refused, not run
 _BRUTE_TERM_BOUND = 10**6
+# s_recursive makes about k^2/2 big-int products of numbers that grow with k and
+# the bits of n + 1; past this estimate (about 1-2 s on one core) it is refused
+_RECURSIVE_WORK_BOUND = 10**10
+
+
+def _recursive_work(k: int, n: int) -> int:
+    return k * k * (k + 1) * ((n + 1).bit_length() + 32)
 
 
 def _emit(record: dict, as_json: bool, human: str) -> None:
@@ -81,6 +88,12 @@ def _sum_by_route(k: int, n: int, route: str) -> int:
         raise ValueError(
             f"the brute route (in --route {route}) adds n terms one by one and is bounded"
             f" at n <= {_BRUTE_TERM_BOUND}; use --route faulhaber for larger n"
+        )
+    if route in ("recursive", "all") and _recursive_work(k, n) > _RECURSIVE_WORK_BOUND:
+        raise ValueError(
+            f"the recursive route (in --route {route}) is bounded at"
+            f" k^2 (k+1) (bit length of n+1, plus 32) <= {_RECURSIVE_WORK_BOUND};"
+            " use --route faulhaber for larger k or n"
         )
     q = PowerSumQuery(k=k, n=n)
     names = _ROUTES if route == "all" else (route,)

@@ -11,8 +11,11 @@ The decision never sums anything and never factors n:
 
 Every negative verdict carries a machine-checkable witness: the offending
 residue for the odd rules, or the set of primes dividing both n and D for
-the even rule (recovered by trial-dividing the gcd by the few candidate
-primes, which is exact because D is square-free).
+the even rule.  That set is recovered by dividing the gcd by the primes of
+k in ascending order until it reaches 1, which is exact because D is
+square-free.  Verdicts are frozen and shared: the five fixed ones are
+constants, and each even-k "no" comes from a bounded cache keyed by its
+witness primes.
 
 ``prime_block_sum`` and ``predict_residue`` expose the congruences the
 even rule rests on, so the theory behind the verdict can be checked
@@ -28,6 +31,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 from . import bernoulli, primes
 
@@ -93,12 +97,23 @@ _ODD_YES = Verdict(integral=True, rule=RULE_ODD)
 _ODD_NO = Verdict(integral=False, rule=RULE_ODD, witness_residue=2)
 _EVEN_YES = Verdict(integral=True, rule=RULE_EVEN)
 
+# an even-k "no" is fixed by its witness primes, so each distinct witness
+# gets one shared verdict; a grid(200, 2000) meets about 500 of them
+_EVEN_NO_CACHE_SIZE = 1024
+
+
+@lru_cache(maxsize=_EVEN_NO_CACHE_SIZE)
+def _even_no(witness: tuple[int, ...]) -> Verdict:
+    return Verdict(integral=False, rule=RULE_EVEN, witness_primes=witness)
+
 
 def decide(k: int, n: int) -> Verdict:
     """Integrality of the average of the first n k-th powers, with witness.
 
     Cost after the per-k precomputation: one gcd, no factorization of n; a
-    "no" for even k adds one pass over the cached primes of k.
+    "no" for even k adds a walk over the cached primes of k that stops once
+    the gcd is divided down to 1, and a lookup of the shared verdict for
+    the witness primes it found.
     """
     if k < 1:
         raise ValueError(f"exponent k must be >= 1, got {k}")
@@ -111,10 +126,16 @@ def decide(k: int, n: int) -> Verdict:
     g = math.gcd(n, bernoulli.vsc_denominator(k))
     if g == 1:
         return _EVEN_YES
-    # g divides the square-free modulus, so one pass over its prime
-    # candidates recovers the witness set exactly
-    witness = tuple(p for p in primes.vsc_primes(k) if g % p == 0)
-    return Verdict(integral=False, rule=RULE_EVEN, witness_primes=witness)
+    # g divides the square-free modulus, so dividing out each prime of k that
+    # divides it recovers the witness set exactly, and g = 1 ends the walk
+    witness = []
+    for p in primes.vsc_primes(k):
+        if g % p == 0:
+            witness.append(p)
+            g //= p
+            if g == 1:
+                break
+    return _even_no(tuple(witness))
 
 
 def prime_block_sum(p: int, k: int) -> int:

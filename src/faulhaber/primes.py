@@ -5,20 +5,20 @@ denominator of the k-th Bernoulli number (von Staudt-Clausen), and they
 drive the fast integrality test.  Besides 2 they are the odd primes
 2m + 1 with m | k/2, so the filter factors k once, lists the divisors m of
 k/2, and looks each candidate below 2^16 up in a table of Eratosthenes
-flags; larger candidates go to ``is_prime``.  The table is built on the
-first filter call, never at import.  Each k is filtered once per process:
-its result is cached as a tuple, and later calls for the same k return
-that tuple.  Factoring and primality share one trial-division loop bounded
-by ``DEFAULT_FACTOR_BOUND``.  ``sieve`` lists the primes up to a limit from
-the same Eratosthenes loop as the table: the selftest holds the filter
-against it, and the scans over small primes (Kummer regularity, the prime
-block sums) take their primes from it.
+flags; larger candidates go to ``is_prime``.  Each k is filtered once per
+process: its result is cached as a tuple, and later calls for the same k
+return that tuple.  Factoring and primality share one trial-division loop
+bounded by ``DEFAULT_FACTOR_BOUND``; it tries the primes below 2^10, read
+off the same table, before it walks the odd numbers.  The table is built
+on the first call that needs it, never at import.  ``sieve`` lists the
+primes up to a limit from the same Eratosthenes loop as the table: the
+selftest holds the filter against it, and the scans over small primes
+(Kummer regularity, the prime block sums) take their primes from it.
 """
 
 from __future__ import annotations
 
 import math
-from bisect import bisect_left
 from functools import cache, lru_cache
 from itertools import compress
 
@@ -35,6 +35,8 @@ DEFAULT_FACTOR_BOUND = 10**6
 
 # the filter decides odd candidates below this by table lookup (64 KB of flags)
 _FLAGS_SIZE = 1 << 16
+# trial division tries the primes below this first, read off the same flags
+_TRIAL_PRIMES_END = 1 << 10
 
 
 class FactorizationError(Exception):
@@ -67,12 +69,30 @@ def sieve(limit: int) -> list[int]:
     return list(compress(range(limit + 1), _eratosthenes(limit)))
 
 
+@cache
+def _trial_primes() -> tuple[int, ...]:
+    return tuple(compress(range(_TRIAL_PRIMES_END), _small_prime_flags()))
+
+
 def _least_factor(n: int, start: int, bound: int) -> int:
     """Least divisor of n that is >= start (2 or odd), given none below it.
 
+    Tries the primes below 2^10 first, then every odd number from there.
     Raises ``FactorizationError`` rather than try a divisor above ``bound``.
     """
     d = start
+    if d < _TRIAL_PRIMES_END:
+        for d in _trial_primes():
+            if d < start:
+                continue
+            if d * d > n:
+                return n
+            if d > bound:
+                break  # the walk below raises at once
+            if n % d == 0:
+                return d
+        else:
+            d = _TRIAL_PRIMES_END + 1
     while d * d <= n:
         if d > bound:
             # no divisor <= bound, so n > bound^2: composite-or-unknown
@@ -81,7 +101,7 @@ def _least_factor(n: int, start: int, bound: int) -> int:
             )
         if n % d == 0:
             return d
-        d += 1 if d == 2 else 2
+        d += 2
     return n
 
 
@@ -101,22 +121,26 @@ def vsc_primes(k: int) -> tuple[int, ...]:
     Always contains 2 and 3, and nothing above k + 1.  The first call for
     each k runs the filter: one ``factorize(k)``, then each odd candidate
     2m + 1 with m | k/2 is looked up in the Eratosthenes flags below 2^16
-    and passed to ``is_prime`` from 2^16 on.  Later calls return the cached
-    tuple.  A k that raises is not cached, so it raises again.
+    and passed to ``is_prime`` from 2^16 on, in one pass; only the primes
+    are sorted.  Later calls return the cached tuple.  A k that raises is
+    not cached, so it raises again.
     """
     if k < 2 or k % 2 != 0:
         raise ValueError(f"k must be a positive even integer, got {k}")
     halves = [1]  # the divisors of k/2: factorize(k) with one 2 taken out
     for p, a in factorize(k):
-        powers = [p**e for e in range(a if p == 2 else a + 1)]
-        halves = [m * q for m in halves for q in powers]
-    candidates = sorted(2 * m + 1 for m in halves)
-    cut = bisect_left(candidates, _FLAGS_SIZE)
+        step = halves
+        for _ in range(a - 1 if p == 2 else a):
+            step = [m * p for m in step]
+            halves += step
     flags = _small_prime_flags()
     return (
         2,
-        *[c for c in candidates[:cut] if flags[c]],
-        *[c for c in candidates[cut:] if is_prime(c)],
+        *sorted(
+            c
+            for c in [2 * m + 1 for m in halves]
+            if (flags[c] if c < _FLAGS_SIZE else is_prime(c))
+        ),
     )
 
 

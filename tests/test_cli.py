@@ -179,6 +179,24 @@ def test_brute_route_past_its_term_bound_exits_2_before_any_work(capsys, monkeyp
     assert "--route faulhaber" in err
 
 
+@pytest.mark.parametrize("command", ["sum", "avg"])
+@pytest.mark.parametrize("route", ["recursive", "all"])
+def test_recursive_route_past_its_work_bound_exits_2_before_any_work(capsys, monkeypatch, command, route):
+    # n = 1000 is inside the brute route's term bound; at k = 2000 the
+    # recursion alone would run for minutes, so none may start
+    def never(*args):
+        raise AssertionError("a summation route ran past the work bound")
+
+    for name in ("s_brute", "s_faulhaber", "s_recursive"):
+        monkeypatch.setattr(faulhaber.powersum, name, never)
+    code, out, err = run_cli(capsys, command, "2000", "1000", "--route", route)
+    assert code == 2
+    assert out == ""
+    assert "bounded at" in err
+    assert "10000000000" in err
+    assert "--route faulhaber" in err
+
+
 def test_sum_route_all_reports_agreement(capsys):
     _, out, _ = run_cli(capsys, "sum", "2", "4", "--route", "all", "--json")
     record = json.loads(out)

@@ -1,8 +1,9 @@
+import dataclasses
 import math
 
 import pytest
 
-from faulhaber import bernoulli, primes
+from faulhaber import bernoulli, integrality, primes
 from faulhaber.bernoulli import vsc_denominator
 from faulhaber.integrality import (
     RULE_EVEN,
@@ -113,6 +114,42 @@ def test_witness_primes_divide_both_n_and_denominator():
                     assert n % p == 0
                     assert d % p == 0
                 assert math.prod(v.witness_primes) == math.gcd(n, d)
+
+
+def test_witness_walk_names_every_common_prime():
+    # n = D_k shares every prime of k, so the walk runs to the end; 6 (D_k + 1)
+    # shares only 2 and 3, and n = 2 or 3 one prime, so the walk stops early
+    for k in range(2, 201, 2):
+        d = vsc_denominator(k)
+        for n in (d, 2 * 3 * d + 6, 2, 3):
+            v = decide(k, n)
+            assert not v.integral
+            assert math.prod(v.witness_primes) == math.gcd(n, d)
+            assert all(n % p == 0 for p in v.witness_primes)
+            assert v.witness_primes == tuple(p for p in primes.vsc_primes(k) if n % p == 0)
+
+
+def test_even_k_no_verdicts_are_shared_per_witness():
+    first = decide(2, 6)
+    assert decide(12, 6) is first
+    assert decide(4, 6 * 7**30) is first
+    other = decide(4, 10)
+    assert other is not first
+    assert other == Verdict(integral=False, rule=RULE_EVEN, witness_primes=(2, 5))
+
+
+def test_replace_leaves_a_shared_verdict_unchanged():
+    shared = decide(2, 6)
+    changed = dataclasses.replace(shared, witness_primes=(2,))
+    assert changed.witness_primes == (2,)
+    assert shared.witness_primes == (2, 3)
+    assert decide(2, 6).witness_primes == (2, 3)
+
+
+def test_shared_no_verdict_cache_is_bounded():
+    maxsize = integrality._even_no.cache_info().maxsize
+    assert maxsize is not None
+    assert 0 < maxsize < float("inf")
 
 
 def test_prime_block_sum_rejects_composite():

@@ -161,3 +161,14 @@ def test_factorize_budget_never_wrong_on_prime_square():
 def test_factorize_certifies_large_prime_cofactor():
     # cofactor 10007 < bound^2, so it is provably prime and reported
     assert factorize(2 * 10007, bound=10_000) == ((2, 1), (10007, 1))
+
+
+def test_factorize_bound_below_the_small_prime_list_end():
+    # trial division tries the primes below 2^10 first; a bound inside that
+    # list still stops it, and a factor past the list is still found
+    with pytest.raises(FactorizationError):
+        factorize(1021 * 1031, bound=1000)
+    assert factorize(1021 * 1031, bound=1021) == ((1021, 1), (1031, 1))
+    assert factorize(97, bound=8) == ((97, 1),)  # 2, 3, 5, 7 certify it
+    with pytest.raises(FactorizationError):
+        factorize(11 * 13, bound=8)
