@@ -38,10 +38,31 @@ _BRUTE_TERM_BOUND = 10**6
 # s_recursive makes about k^2/2 big-int products of numbers that grow with k and
 # the bits of n + 1; past this estimate (about 1-2 s on one core) it is refused
 _RECURSIVE_WORK_BOUND = 10**10
+# s_faulhaber first builds the Bernoulli table to B_k (cold, about 1.2 s to
+# B_2048 and 9.3 s to B_4096 on one core); past this k it is refused
+_FAULHABER_K_BOUND = 2048
 
 
 def _recursive_work(k: int, n: int) -> int:
     return k * k * (k + 1) * ((n + 1).bit_length() + 32)
+
+
+# each route's bound as a test on (k, n), and the refusal text that names it
+_ROUTE_BOUNDS = {
+    "brute": (
+        lambda k, n: n <= _BRUTE_TERM_BOUND,
+        f"adds n terms one by one and is bounded at n <= {_BRUTE_TERM_BOUND}",
+    ),
+    "faulhaber": (
+        lambda k, n: k <= _FAULHABER_K_BOUND,
+        f"builds the Bernoulli table to B_k and is bounded at k <= {_FAULHABER_K_BOUND}",
+    ),
+    "recursive": (
+        lambda k, n: _recursive_work(k, n) <= _RECURSIVE_WORK_BOUND,
+        "is bounded at k^2 (k+1) (bit length of n+1, plus 32)"
+        f" <= {_RECURSIVE_WORK_BOUND}",
+    ),
+}
 
 
 def _emit(record: dict, as_json: bool, human: str) -> None:
@@ -84,19 +105,16 @@ def approx_decimal(q: Fraction, digits: int = 12) -> str:
 
 
 def _sum_by_route(k: int, n: int, route: str) -> int:
-    if route in ("brute", "all") and n > _BRUTE_TERM_BOUND:
-        raise ValueError(
-            f"the brute route (in --route {route}) adds n terms one by one and is bounded"
-            f" at n <= {_BRUTE_TERM_BOUND}; use --route faulhaber for larger n"
-        )
-    if route in ("recursive", "all") and _recursive_work(k, n) > _RECURSIVE_WORK_BOUND:
-        raise ValueError(
-            f"the recursive route (in --route {route}) is bounded at"
-            f" k^2 (k+1) (bit length of n+1, plus 32) <= {_RECURSIVE_WORK_BOUND};"
-            " use --route faulhaber for larger k or n"
-        )
-    q = PowerSumQuery(k=k, n=n)
     names = _ROUTES if route == "all" else (route,)
+    for name in names:
+        admits, bound_text = _ROUTE_BOUNDS[name]
+        if not admits(k, n):
+            others = [f"--route {r}" for r, (ok, _) in _ROUTE_BOUNDS.items() if ok(k, n)]
+            advice = f"use {' or '.join(others)} for" if others else "no route's bound admits"
+            raise ValueError(
+                f"the {name} route (in --route {route}) {bound_text}; {advice} k={k}, n={n}"
+            )
+    q = PowerSumQuery(k=k, n=n)
     values = {name: _ROUTES[name](q) for name in names}
     if len(set(values.values())) != 1:
         raise InconsistencyError(f"routes disagree for k={k}, n={n}: {values}")

@@ -3,17 +3,19 @@
 For even k, the primes p with (p-1) | k are exactly the primes in the
 denominator of the k-th Bernoulli number (von Staudt-Clausen), and they
 drive the fast integrality test.  Besides 2 they are the odd primes
-2m + 1 with m | k/2, so the filter factors k once, lists the divisors m of
-k/2, and looks each candidate below 2^16 up in a table of Eratosthenes
-flags; larger candidates go to ``is_prime``.  Each k is filtered once per
-process: its result is cached as a tuple, and later calls for the same k
-return that tuple.  Factoring and primality share one trial-division loop
-bounded by ``DEFAULT_FACTOR_BOUND``; it tries the primes below 2^10, read
-off the same table, before it walks the odd numbers.  The table is built
-on the first call that needs it, never at import.  ``sieve`` lists the
-primes up to a limit from the same Eratosthenes loop as the table: the
-selftest holds the filter against it, and the scans over small primes
-(Kummer regularity, the prime block sums) take their primes from it.
+2m + 1 with m | k/2, so the filter factors k once, lists the candidates
+2m + 1 over the divisors m of k/2, and settles each one below 2^16 by
+lookup in a 64 KB table of least prime factors; larger candidates go to
+``is_prime``.  Each k is filtered once per process: its result is cached
+as a tuple, and later calls for the same k return that tuple.  Factoring
+and primality share one trial-division loop bounded by
+``DEFAULT_FACTOR_BOUND``; it tries the primes below 2^10, read off the
+table, before it walks the odd numbers, and ``factorize`` reads the
+factors of a cofactor below 2^16 straight off the table.  The table is
+built on the first call that needs it, never at import.  ``sieve`` lists
+the primes up to a limit by its own Eratosthenes loop, independent of the
+table: the selftest holds the filter against it, and the scans over small
+primes (Kummer regularity, the prime block sums) take their primes from it.
 """
 
 from __future__ import annotations
@@ -33,9 +35,11 @@ __all__ = [
 
 DEFAULT_FACTOR_BOUND = 10**6
 
-# the filter decides odd candidates below this by table lookup (64 KB of flags)
-_FLAGS_SIZE = 1 << 16
-# trial division tries the primes below this first, read off the same flags
+# the filter and factorize settle numbers below this by table lookup (64 KB of least factors)
+_TABLE_SIZE = 1 << 16
+# every composite below _TABLE_SIZE has a prime factor below this
+_TABLE_PRIMES_END = 1 << 8
+# trial division tries the primes below this first, read off the same table
 _TRIAL_PRIMES_END = 1 << 10
 
 
@@ -54,8 +58,12 @@ def _eratosthenes(limit: int) -> bytearray:
 
 
 @cache
-def _small_prime_flags() -> bytes:
-    return bytes(_eratosthenes(_FLAGS_SIZE - 1))  # read-only: every filter call shares it
+def _least_factors() -> bytes:
+    """Entry c is the least prime factor of a composite c < 2^16, and 0 otherwise."""
+    table = bytearray(_TABLE_SIZE)
+    for p in reversed(sieve(_TABLE_PRIMES_END - 1)):  # smaller primes overwrite larger ones
+        table[p * p :: p] = bytes((p,)) * ((_TABLE_SIZE - 1 - p * p) // p + 1)
+    return bytes(table)  # read-only: every filter and factorize call shares it
 
 
 def sieve(limit: int) -> list[int]:
@@ -71,7 +79,8 @@ def sieve(limit: int) -> list[int]:
 
 @cache
 def _trial_primes() -> tuple[int, ...]:
-    return tuple(compress(range(_TRIAL_PRIMES_END), _small_prime_flags()))
+    table = _least_factors()
+    return tuple(c for c in range(2, _TRIAL_PRIMES_END) if not table[c])
 
 
 def _least_factor(n: int, start: int, bound: int) -> int:
@@ -119,29 +128,23 @@ def vsc_primes(k: int) -> tuple[int, ...]:
     """All primes p with (p-1) | k, ascending, for even k >= 2.
 
     Always contains 2 and 3, and nothing above k + 1.  The first call for
-    each k runs the filter: one ``factorize(k)``, then each odd candidate
-    2m + 1 with m | k/2 is looked up in the Eratosthenes flags below 2^16
-    and passed to ``is_prime`` from 2^16 on, in one pass; only the primes
-    are sorted.  Later calls return the cached tuple.  A k that raises is
-    not cached, so it raises again.
+    each k runs the filter: one ``factorize(k)`` lists the odd candidates
+    2m + 1 with m | k/2, which are sorted once; each is then looked up in
+    the least-factor table below 2^16 (prime where the entry is 0) and
+    passed to ``is_prime`` from 2^16 on.  Later calls return the cached
+    tuple.  A k that raises is not cached, so it raises again.
     """
     if k < 2 or k % 2 != 0:
         raise ValueError(f"k must be a positive even integer, got {k}")
-    halves = [1]  # the divisors of k/2: factorize(k) with one 2 taken out
+    candidates = [3]  # 2m + 1 over the divisors m of k/2: factorize(k) with one 2 taken out
     for p, a in factorize(k):
-        step = halves
+        step = candidates
         for _ in range(a - 1 if p == 2 else a):
-            step = [m * p for m in step]
-            halves += step
-    flags = _small_prime_flags()
-    return (
-        2,
-        *sorted(
-            c
-            for c in [2 * m + 1 for m in halves]
-            if (flags[c] if c < _FLAGS_SIZE else is_prime(c))
-        ),
-    )
+            step = [(c - 1) * p + 1 for c in step]  # m -> m * p
+            candidates += step
+    candidates.sort()
+    table = _least_factors()
+    return (2, *[c for c in candidates if (not table[c] if c < _TABLE_SIZE else is_prime(c))])
 
 
 def factorize(n: int, bound: int = DEFAULT_FACTOR_BOUND) -> tuple[tuple[int, int], ...]:
@@ -157,10 +160,14 @@ def factorize(n: int, bound: int = DEFAULT_FACTOR_BOUND) -> tuple[tuple[int, int
     if n < 2:
         raise ValueError(f"factorize requires n >= 2, got {n}")
     factors: list[tuple[int, int]] = []
+    table = _least_factors()
+    # within a bound >= 2^8 trial division certifies every cofactor below 2^16,
+    # and finds the least factor the table holds
+    lookup_end = _TABLE_SIZE if bound >= _TABLE_PRIMES_END else 0
     r = n
     d = 2
     while r > 1:
-        d = _least_factor(r, d, bound)
+        d = (table[r] or r) if r < lookup_end else _least_factor(r, d, bound)
         a = 0
         while r % d == 0:
             r //= d

@@ -5,8 +5,9 @@ Each group raises ``InvariantViolation`` naming the first counterexample;
 the route it pins, then the oracle it is held to.
 
 * vsc-divisors-vs-sieve    ``vsc_primes`` vs a sieve filtered by (p-1) | k, even k <= 5000;
-                           both read the same Eratosthenes flags, so this checks the
-                           divisor enumeration (the tests hold the flags to trial division)
+                           two independent routes: the filter factors k and looks its
+                           candidates up in the least-factor table, the sieve runs its
+                           own Eratosthenes loop (the tests hold the table to trial division)
 * factorize-roundtrip      ``factorize`` vs multiplying the factors back, n <= 10^4
 * route-equivalence        ``bernoulli_recursive`` (tangent numbers) vs ``bernoulli_egf``, B_0..B_40
 * odd-vanishing            both Bernoulli routes vs zero at odd indices 3..49

@@ -1,6 +1,7 @@
 import dataclasses
 import json
 import os
+import re
 import subprocess
 import sys
 from decimal import Decimal
@@ -195,6 +196,50 @@ def test_recursive_route_past_its_work_bound_exits_2_before_any_work(capsys, mon
     assert "bounded at" in err
     assert "10000000000" in err
     assert "--route faulhaber" in err
+
+
+@pytest.mark.parametrize("command", ["sum", "avg"])
+@pytest.mark.parametrize("route", ["faulhaber", "all"])
+def test_faulhaber_route_past_its_k_bound_exits_2_before_any_work(capsys, monkeypatch, command, route):
+    # n = 2 is two terms by the brute route; at k = 8192 the Bernoulli table
+    # alone would take minutes to build, so none may start
+    def never(*args):
+        raise AssertionError("a summation route ran past the k bound")
+
+    for name in ("s_brute", "s_faulhaber", "s_recursive"):
+        monkeypatch.setattr(faulhaber.powersum, name, never)
+    monkeypatch.setattr(faulhaber.bernoulli, "bernoulli_recursive", never)
+    code, out, err = run_cli(capsys, command, "8192", "2", "--route", route)
+    assert code == 2
+    assert out == ""
+    assert "bounded at k <= 2048" in err
+    assert "--route brute" in err
+
+
+def test_every_refusal_names_only_routes_the_bounds_admit(capsys, monkeypatch):
+    # stub routes that agree at once: a call exits 0 exactly when no bound refuses it
+    monkeypatch.setattr(faulhaber.powersum, "s_brute", lambda q: 0)
+    monkeypatch.setattr(faulhaber.powersum, "s_faulhaber", lambda q: 0)
+    monkeypatch.setattr(faulhaber.powersum, "s_recursive", lambda k, n: [0])
+    refusals = 0
+    for k in (2, 600, 700, 2048, 2049, 8192):
+        for n in (2, 1000, 10**6, 10**6 + 1, 10**30):
+            for route in ("brute", "faulhaber", "recursive", "all"):
+                code, _, err = run_cli(capsys, "sum", str(k), str(n), "--route", route)
+                if code == 0:
+                    continue
+                refusals += 1
+                assert code == 2, err
+                advice = err.split(";")[-1]
+                named = re.findall(r"--route (\w+)", advice)
+                admitted = [
+                    other
+                    for other in ("brute", "faulhaber", "recursive")
+                    if run_cli(capsys, "sum", str(k), str(n), "--route", other)[0] == 0
+                ]
+                assert sorted(named) == admitted, err
+                assert named or "no route" in advice, err
+    assert refusals > 20
 
 
 def test_sum_route_all_reports_agreement(capsys):

@@ -1,3 +1,4 @@
+import itertools
 import math
 import subprocess
 import sys
@@ -5,7 +6,9 @@ import sys
 import pytest
 
 from faulhaber.primes import (
+    DEFAULT_FACTOR_BOUND,
     FactorizationError,
+    _least_factors,
     factorize,
     is_prime,
     sieve,
@@ -20,6 +23,40 @@ def trial_division_is_prime(n):
         if n % d == 0:
             return False
     return True
+
+
+def trial_division_least_factor(n):
+    return next((d for d in range(2, math.isqrt(n) + 1) if n % d == 0), n)
+
+
+PRIMES_BELOW_2_TO_THE_10 = [d for d in range(2, 1 << 10) if trial_division_is_prime(d)]
+
+
+def trial_division_factorize(n, bound=DEFAULT_FACTOR_BOUND):
+    # reference, no table: try the primes below 2^10, then every odd number,
+    # and give up once a divisor past the bound would have to be tried
+    divisors = itertools.chain(PRIMES_BELOW_2_TO_THE_10, itertools.count((1 << 10) + 1, 2))
+    factors, r = [], n
+    for d in divisors:
+        if d * d > r:
+            if r > 1:
+                factors.append((r, 1))
+            return tuple(factors)
+        if d > bound:
+            raise FactorizationError(f"{r} has no factor up to the trial-division bound {bound}")
+        a = 0
+        while r % d == 0:
+            r //= d
+            a += 1
+        if a:
+            factors.append((d, a))
+
+
+def outcome(f, *args):
+    try:
+        return f(*args)
+    except FactorizationError as exc:
+        return f"FactorizationError: {exc}"
 
 
 def trial_division_divisors(k):
@@ -52,7 +89,8 @@ def test_sieve_agrees_with_trial_division():
 
 
 def test_sieve_to_the_filter_table_edge_agrees_with_is_prime():
-    # the sieve and the filter read flags made by one Eratosthenes loop
+    # two independent routes: the sieve's own Eratosthenes loop, and trial
+    # division (which reads its primes below 2^10 off the least-factor table)
     ps = set(sieve(1 << 16))
     for n in range((1 << 16) + 1):
         assert (n in ps) == is_prime(n)
@@ -100,7 +138,7 @@ def test_vsc_primes_matches_the_divisor_filter_across_the_table_edge():
 
 
 def test_import_leaves_the_filter_table_unbuilt(src_env):
-    probe = "import faulhaber; print(faulhaber.primes._small_prime_flags.cache_info().currsize)"
+    probe = "import faulhaber; print(faulhaber.primes._least_factors.cache_info().currsize)"
     proc = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True, env=src_env)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "0"
@@ -172,3 +210,46 @@ def test_factorize_bound_below_the_small_prime_list_end():
     assert factorize(97, bound=8) == ((97, 1),)  # 2, 3, 5, 7 certify it
     with pytest.raises(FactorizationError):
         factorize(11 * 13, bound=8)
+
+
+def test_least_factor_table_matches_trial_division():
+    table = _least_factors()
+    assert len(table) == 1 << 16
+    for c in range(1 << 16):
+        least = trial_division_least_factor(c) if c >= 2 else c
+        assert (c, table[c]) == (c, least if least < c else 0)
+
+
+# cofactors that cross 2^16: 2^a times a number near it, and p * q with q the
+# primes just below and just above 2^16
+CROSSING = sorted(
+    {2**a * c for a in range(21) for c in (1, 3, 251, 255, 257, 65519, 65521, 65535, 65537, 65539)}
+    | {p * q for p in (2, 3, 251, 257, 1021, 65521) for q in (65519, 65521, 65537, 65539)}
+    | set(range(2, 2000))
+)[1:]  # from 2 on; 1 = 2^0 * 1
+
+
+@pytest.mark.parametrize("bound", [8, 255, 256, 257, 1000, None])
+def test_factorize_matches_trial_division_across_the_table_edge(bound):
+    args = () if bound is None else (bound,)
+    for n in CROSSING:
+        assert (n, outcome(factorize, n, *args)) == (n, outcome(trial_division_factorize, n, *args))
+
+
+def test_is_prime_matches_trial_division_past_the_table_edge():
+    for n in range((1 << 16) + 65):
+        assert (n, is_prime(n)) == (n, n >= 2 and trial_division_factorize(n) == ((n, 1),))
+
+
+def test_factorize_property_up_to_10_to_the_10():
+    hypothesis = pytest.importorskip("hypothesis")
+
+    @hypothesis.settings(max_examples=200, derandomize=True, database=None, deadline=None)
+    @hypothesis.given(hypothesis.strategies.integers(min_value=2, max_value=10**10))
+    def check(n):
+        factors = factorize(n)
+        assert math.prod(p**a for p, a in factors) == n
+        assert [p for p, _ in factors] == sorted({p for p, _ in factors})
+        assert all(a >= 1 and is_prime(p) for p, a in factors)
+
+    check()
