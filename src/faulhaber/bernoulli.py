@@ -11,6 +11,12 @@ code, which lets each serve as an oracle for the other:
 * ``bernoulli_egf`` long-divides the power series x by (e^x - 1) in exact
   rationals and reads B_k off as k! times the k-th quotient coefficient.
 
+The tangent memo is kept in two forms: the ``Fraction`` values that
+``bernoulli_recursive`` hands out, and the same values as integers over
+one common denominator, (L, (L B_0, ..., L B_M)) with L the lcm of the
+memo's own denominators.  The second form is private; it lets the closed
+form in ``powersum`` build each coefficient with one product.
+
 ``vsc_denominator`` is a third, arithmetic-free route to the denominators
 alone: by von Staudt-Clausen, for even k the denominator of B_k in lowest
 terms is the (square-free) product of all primes p with (p-1) | k.
@@ -20,6 +26,7 @@ from __future__ import annotations
 
 import math
 import threading
+from collections.abc import Sequence
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -61,6 +68,9 @@ _recursive_values: list[Fraction] = [Fraction(1), Fraction(-1, 2)]
 # column n of the tangent recurrence, entries for stages 1..n; T_n is the last
 _tangent_column: list[int] = []
 _egf_coeffs: list[Fraction] = [Fraction(1)]  # coefficients of x/(e^x - 1)
+# the memo over its common denominator, (L, (L B_0, ..., L B_M)); each growth
+# binds a new pair, so no reader sees values scaled by another L
+_scaled_values: tuple[int, tuple[int, ...]] = (1, ())
 
 
 def _extend_recursive(limit: int) -> None:
@@ -77,6 +87,37 @@ def _extend_recursive(limit: int) -> None:
         four_n = 4**n
         b = Fraction(2 * n * new[-1], four_n * (four_n - 1))
         vals.extend((b if n % 2 else -b, Fraction(0)))  # B_2n, B_2n+1
+
+
+def _over_common_denominator(
+    values: Sequence[Fraction], prefix: tuple[int, tuple[int, ...]] = (1, ())
+) -> tuple[int, tuple[int, ...]]:
+    """(L, (L b_0, L b_1, ...)) for Fractions b_i, L the lcm of their denominators.
+
+    ``prefix`` is that pair for the first entries of ``values``; they are
+    rescaled by the factor L grew by instead of divided out again.
+    """
+    lcm, done = prefix
+    rest = values[len(done) :]
+    grown = math.lcm(lcm, *{b.denominator for b in rest})
+    if grown != lcm:
+        factor = grown // lcm
+        done = tuple(a * factor for a in done)
+    return grown, done + tuple(b.numerator * (grown // b.denominator) for b in rest)
+
+
+def _scaled_recursive(limit: int) -> tuple[int, tuple[int, ...]]:
+    """The memo over its common denominator, covering at least B_0..B_limit."""
+    global _scaled_values
+    # grow the memo through the public name, so a wrapper on it sees the call
+    bernoulli_recursive(limit)
+    pair = _scaled_values
+    if len(pair[1]) <= limit:
+        with _lock:
+            if len(_scaled_values[1]) <= limit:
+                _scaled_values = _over_common_denominator(_recursive_values, _scaled_values)
+            pair = _scaled_values
+    return pair
 
 
 def _extend_egf(limit: int) -> None:

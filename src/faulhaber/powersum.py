@@ -74,28 +74,34 @@ def s_brute(q: PowerSumQuery) -> int:
 def s_faulhaber(q: PowerSumQuery, table: bernoulli.BernoulliTable | None = None) -> int:
     """Evaluate the Bernoulli closed form exactly and return the integer sum.
 
-    Every B_j is scaled by the lcm L of the distinct denominators, which
-    makes L (k + 1) S_k(n) an integer polynomial in x = n + 1.  It is
+    Every B_j is scaled by a common denominator L, which makes
+    L (k + 1) S_k(n) an integer polynomial in x = n + 1.  With no table,
+    L is the lcm of the denominators of the whole Bernoulli memo, which can
+    reach past B_k, so L is a multiple of lcm(D_0..D_k); the memo is kept
+    over L already, and each coefficient C(k+1, j) L B_j is one product.
+    With a table, L is the lcm of that table's B_0..B_k.  The polynomial is
     evaluated as a balanced product tree (Estrin's scheme): neighbouring
     coefficients pair up as c_i + c_{i+1} x, those pairs pair up under x^2,
     then x^4, and so on, so the large products near the top are of equal
     size and take CPython's Karatsuba path instead of k schoolbook steps.
     One division by L (k + 1) ends it; a nonzero remainder means a bad
-    table and is raised.
+    value and is raised.  An error e in B_j moves the numerator by
+    C(k+1, j) L e x^(k+1-j), so L cancels against the divisor, and a
+    larger L hides no error that the lcm of B_0..B_k would show.
     """
     k, n = q.k, q.n
     if table is None:
-        table = bernoulli.bernoulli_recursive(k)
+        lcm, scaled = bernoulli._scaled_recursive(k)
     elif table.limit < k:
         raise ValueError(f"table covers 0..{table.limit}, need index {k}")
-    bs = table.values[: k + 1]
-    lcm = math.lcm(*{b.denominator for b in bs})
+    else:
+        lcm, scaled = bernoulli._over_common_denominator(table.values[: k + 1])
     # c[i] is the coefficient of x^i: C(k+1, j) L B_j at i = k + 1 - j
     c = [0] * (k + 2)
     binom = 1  # C(k+1, j)
-    for j, b in enumerate(bs):
-        if b:
-            c[k + 1 - j] = b.numerator * (binom * (lcm // b.denominator))
+    for j, a in zip(range(k + 1), scaled):
+        if a:
+            c[k + 1 - j] = binom * a
         binom = binom * (k + 1 - j) // (j + 1)
     x = n + 1
     while True:

@@ -13,7 +13,8 @@ the route it pins, then the oracle it is held to.
 * odd-vanishing            both Bernoulli routes vs zero at odd indices 3..49
 * vsc-consistency          reduced denominators of B_k vs ``vsc_denominator``, even k <= 60
 * irregular-scan           ``is_regular`` vs the known irregular primes 37, 59, 67 below 100
-* three-route-agreement    ``s_brute`` vs ``s_faulhaber`` vs ``s_recursive``, k <= 12, n <= 60
+* three-route-agreement    ``s_brute`` vs ``s_faulhaber`` vs ``s_recursive``, k <= 12, n <= 60;
+                           ``s_faulhaber`` both over a table and over the Bernoulli memo
 * modular-consistency      ``s_mod`` vs ``s_brute`` reduced mod m, k <= 8, n <= 40, m <= 30
 * closed-form-spot         ``mu`` vs the quadratic and quartic closed forms, n <= 30
 * theorem-vs-oracle        ``decide`` vs the ``s_mod`` residue and ``mu``, k <= 30, n <= 500
@@ -137,8 +138,9 @@ def _three_route_agreement(quick: bool) -> None:
             q = PowerSumQuery(k=k, n=n)
             b = powersum.s_brute(q)
             f = powersum.s_faulhaber(q, table)
-            if not (b == f == rec[k - 1]):
-                _fail(f"routes disagree at k={k}, n={n}: {b}, {f}, {rec[k - 1]}")
+            m = powersum.s_faulhaber(q)  # over the memo's common denominator
+            if not (b == f == m == rec[k - 1]):
+                _fail(f"routes disagree at k={k}, n={n}: {b}, {f}, {m}, {rec[k - 1]}")
 
 
 def _modular_consistency(quick: bool) -> None:

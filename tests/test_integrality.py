@@ -15,7 +15,7 @@ from faulhaber.integrality import (
     predict_residue,
     prime_block_sum,
 )
-from faulhaber.powersum import PowerSumQuery, s_mod
+from faulhaber.powersum import PowerSumQuery, mu, s_mod
 
 
 def test_decide_even_k_coprime_case():
@@ -218,3 +218,47 @@ def test_witness_text_forms():
     assert decide(3, 6).witness_text() == "n ≡ 2 (mod 4)"
     assert decide(1, 4).witness_text() == "n even"
     assert decide(2, 5).witness_text() == ""
+
+
+def check_decide_at_large_n():
+    """``integrality.decide`` against ``mu`` through the closed form, at k <= 200
+    and n up to about 10^40, and for even k its witness against gcd(n, D_k).
+    About half the draws are made a multiple of a prime of D_k (of 2 at odd k)."""
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+
+    @st.composite
+    def k_and_n(draw):
+        k = draw(st.integers(min_value=1, max_value=200))
+        if not draw(st.booleans()):
+            return k, draw(st.integers(min_value=1, max_value=10**40))
+        p = draw(st.sampled_from(primes.vsc_primes(k) if k % 2 == 0 else (2,)))
+        return k, p * draw(st.integers(min_value=1, max_value=10**40 // p))
+
+    @hypothesis.settings(max_examples=200, derandomize=True, database=None, deadline=None)
+    @hypothesis.given(k_and_n())
+    def check(kn):
+        k, n = kn
+        verdict = integrality.decide(k, n)
+        assert verdict.integral == mu(PowerSumQuery(k=k, n=n)).integral, (k, n)
+        if k % 2 == 0:
+            assert math.prod(verdict.witness_primes) == math.gcd(n, vsc_denominator(k)), (k, n)
+
+    check()
+
+
+def test_decide_matches_the_closed_form_up_to_10_to_the_40():
+    check_decide_at_large_n()
+
+
+def test_large_n_property_catches_a_flipped_witness(monkeypatch):
+    # 3 divides every D_k at even k: toggling it in the witness breaks the product
+    def flipped(k, n):
+        v = decide(k, n)
+        if k % 2:
+            return v
+        return dataclasses.replace(v, witness_primes=tuple(sorted({*v.witness_primes} ^ {3})))
+
+    monkeypatch.setattr(integrality, "decide", flipped)
+    with pytest.raises(AssertionError):
+        check_decide_at_large_n()

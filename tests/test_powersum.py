@@ -1,7 +1,10 @@
+import sys
+from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
 
 import pytest
 
+from faulhaber import bernoulli
 from faulhaber.bernoulli import BernoulliTable, bernoulli_recursive
 from faulhaber.powersum import (
     Average,
@@ -130,3 +133,55 @@ def test_faulhaber_inconsistency_is_loud_at_large_index():
     for n in (2, 10**40):
         with pytest.raises(InconsistencyError):
             s_faulhaber(PowerSumQuery(k=511, n=n), bad)
+
+
+@pytest.fixture
+def fresh_memo(monkeypatch):
+    """An empty Bernoulli memo for one test; the module's own memo comes back after it."""
+    monkeypatch.setattr(bernoulli, "_recursive_values", [Fraction(1), Fraction(-1, 2)])
+    monkeypatch.setattr(bernoulli, "_tangent_column", [])
+    monkeypatch.setattr(bernoulli, "_scaled_values", (1, ()))
+
+
+def test_faulhaber_over_the_memo_matches_a_table(fresh_memo):
+    # from an empty memo, each k past the memo grows it and most steps change
+    # its common denominator L; 511 and the rest come after 1534, and k = 1
+    # comes again at the end, so small k also run over the largest L
+    n = 10**40 + 12349
+    order = [*FOLD_SHAPE_KS, FOLD_SHAPE_KS[0]]
+    sums, lcms = [], set()
+    for k in order:
+        sums.append(s_faulhaber(PowerSumQuery(k=k, n=n)))
+        lcms.add(bernoulli._scaled_values[0])
+    assert len(lcms) > 60  # at least one L for each prime up to 301
+    table = bernoulli_recursive(max(FOLD_SHAPE_KS))
+    for k, s in zip(order, sums):
+        assert s == s_faulhaber(PowerSumQuery(k=k, n=n), table), k
+
+
+def test_faulhaber_over_the_memo_is_loud_at_large_index(fresh_memo, monkeypatch):
+    # B_256 + 1 planted in the memo over its common denominator L adds L to
+    # L B_256; the argument of test_faulhaber_inconsistency_is_loud_at_large_index
+    # holds as it is, because L cancels against the L in the divisor
+    lcm, scaled = bernoulli._scaled_recursive(511)
+    planted = (*scaled[:256], scaled[256] + lcm, *scaled[257:])
+    monkeypatch.setattr(bernoulli, "_scaled_values", (lcm, planted))
+    for n in (2, 10**40):
+        with pytest.raises(InconsistencyError):
+            s_faulhaber(PowerSumQuery(k=511, n=n))
+
+
+def test_memo_over_a_common_denominator_is_safe_under_concurrent_growth(fresh_memo):
+    # threads grow the memo to different k while others read it; a reader that
+    # paired values with another L would leave a remainder and raise
+    ks = [*range(2, 200, 7)] * 2
+    n = 10**20 + 3
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(max_workers=8) as pool:
+            sums = list(pool.map(lambda k: s_faulhaber(PowerSumQuery(k=k, n=n)), ks, timeout=60))
+    finally:
+        sys.setswitchinterval(interval)
+    table = bernoulli_recursive(max(ks))
+    assert sums == [s_faulhaber(PowerSumQuery(k=k, n=n), table) for k in ks]

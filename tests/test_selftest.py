@@ -6,11 +6,12 @@ import pkgutil
 import pytest
 
 import faulhaber
-from faulhaber import powersum, primes, selftest
+from faulhaber import bernoulli, powersum, primes, selftest
 
 vsc_primes = primes.vsc_primes
 s_brute = powersum.s_brute
 mu = powersum.mu
+scaled_recursive = bernoulli._scaled_recursive
 
 
 @pytest.mark.parametrize("check", [c for _, c in selftest.GROUPS], ids=[n for n, _ in selftest.GROUPS])
@@ -18,9 +19,17 @@ def test_group_holds_at_full_range(check):
     check(False)  # raises InvariantViolation naming the counterexample
 
 
-# One fault per property the prime filter, s_brute and mu must keep: the
-# filter sorted, repeat-free, holding 3 and monotone in k; s_brute summing
-# every term, exactly; mu's flag agreeing with the residue.
+def memo_off_by_x_to_the_k_plus_1(limit):
+    # L (k+1) added to L B_0 moves S_k(n) by exactly x^(k+1), x = n + 1, so the
+    # division stays exact and only the route comparison can see it
+    lcm, scaled = scaled_recursive(limit)
+    return lcm, (scaled[0] + lcm * (limit + 1), *scaled[1:])
+
+
+# One fault per property the prime filter, s_brute, the Bernoulli memo behind
+# s_faulhaber and mu must keep: the filter sorted, repeat-free, holding 3 and
+# monotone in k; s_brute summing every term, exactly; the closed form over the
+# memo summing exactly; mu's flag agreeing with the residue.
 FAULTS = [
     pytest.param("vsc-divisors-vs-sieve", primes, "vsc_primes",
                  lambda k: vsc_primes(k)[::-1], id="unsorted"),
@@ -33,6 +42,8 @@ FAULTS = [
                  lambda k: [p for p in vsc_primes(k) if not (p == 5 and k % 3 == 0)], id="not-monotone"),
     pytest.param("three-route-agreement", powersum, "s_brute",
                  lambda q: s_brute(q) - q.n**q.k, id="no-last-term"),
+    pytest.param("three-route-agreement", bernoulli, "_scaled_recursive",
+                 memo_off_by_x_to_the_k_plus_1, id="memo-off-by-x^(k+1)"),
     pytest.param("modular-consistency", powersum, "s_brute",
                  lambda q: s_brute(q) + (q.n == 7), id="off-by-one-at-7"),
     pytest.param("theorem-vs-oracle", powersum, "mu",
