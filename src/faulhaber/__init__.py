@@ -6,7 +6,6 @@ Everything is computed in exact arithmetic (Python ints and
 """
 
 from .bernoulli import (
-    DEFAULT_TABLE_CAP,
     BernoulliTable,
     bernoulli_egf,
     bernoulli_recursive,
@@ -45,7 +44,6 @@ __version__ = "1.0.0"
 
 __all__ = [
     "BernoulliTable",
-    "DEFAULT_TABLE_CAP",
     "bernoulli_egf",
     "bernoulli_recursive",
     "is_regular",

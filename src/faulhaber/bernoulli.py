@@ -39,12 +39,7 @@ __all__ = [
     "bernoulli_egf",
     "vsc_denominator",
     "is_regular",
-    "DEFAULT_TABLE_CAP",
 ]
-
-# cap on the CLI-facing table index; it bounds ``bern --verify``, whose EGF
-# oracle does O(K^2) big-rational ops (about 3 s at 512)
-DEFAULT_TABLE_CAP = 512
 
 
 @dataclass(frozen=True)

@@ -38,9 +38,12 @@ _BRUTE_TERM_BOUND = 10**6
 # s_recursive makes about k^2/2 big-int products of numbers that grow with k and
 # the bits of n + 1; past this estimate (about 1-2 s on one core) it is refused
 _RECURSIVE_WORK_BOUND = 10**10
-# s_faulhaber first builds the Bernoulli table to B_k (cold, about 1.2 s to
-# B_2048 and 9.3 s to B_4096 on one core); past this k it is refused
+# s_faulhaber and bern first build the Bernoulli table to B_k (cold, about
+# 1.2 s to B_2048 and 9.3 s to B_4096 on one core); past this k they are refused
 _FAULHABER_K_BOUND = 2048
+# bern --verify also builds the series-division oracle, about 3 s at this k
+_VERIFY_K_BOUND = 512
+_APPROX_DIGITS = 12
 
 
 def _recursive_work(k: int, n: int) -> int:
@@ -85,10 +88,10 @@ def format_rational(q: Fraction) -> str:
     return f"{q.numerator}/{q.denominator}"
 
 
-def approx_decimal(q: Fraction, digits: int = 12) -> str:
+def approx_decimal(q: Fraction) -> str:
     """Decimal approximation as a string; only ever *appended* to exact output.
 
-    Values beyond the float range are rounded in ``decimal`` instead.
+    It keeps 12 significant digits, rounded in ``decimal`` past the float range.
 
     >>> approx_decimal(Fraction(-1, 30))
     '-0.0333333333333'
@@ -96,10 +99,10 @@ def approx_decimal(q: Fraction, digits: int = 12) -> str:
     '-7e+500'
     """
     try:
-        return format(q.numerator / q.denominator, f".{digits}g")
+        return format(q.numerator / q.denominator, f".{_APPROX_DIGITS}g")
     except OverflowError:
         with localcontext() as ctx:
-            ctx.prec = digits
+            ctx.prec = _APPROX_DIGITS
             value = Decimal(q.numerator) / q.denominator
             return format(value.normalize(), "g")
 
@@ -124,8 +127,10 @@ def _sum_by_route(k: int, n: int, route: str) -> int:
 def _cmd_bern(args: argparse.Namespace) -> int:
     if args.k < 0:
         raise ValueError(f"index must be >= 0, got {args.k}")
-    if args.k > args.cap:
-        raise ValueError(f"index {args.k} exceeds the table cap {args.cap}")
+    if args.k > _FAULHABER_K_BOUND:
+        raise ValueError(f"bern is bounded at k <= {_FAULHABER_K_BOUND}; got k={args.k}")
+    if args.verify and args.k > _VERIFY_K_BOUND:
+        raise ValueError(f"bern --verify is bounded at k <= {_VERIFY_K_BOUND}; got k={args.k}")
     table = bernoulli.bernoulli_recursive(args.k)
     value = table[args.k]
     record = {"command": "bern", "k": str(args.k), "value": format_rational(value)}
@@ -309,7 +314,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("k", type=int)
     p.add_argument("--verify", action="store_true", help="cross-check the two routes")
     p.add_argument("--approx", action="store_true", help="append a decimal approximation")
-    p.add_argument("--cap", type=int, default=bernoulli.DEFAULT_TABLE_CAP, help="table cap")
     p.set_defaults(handler=_cmd_bern)
 
     p = sub.add_parser("denom", parents=[common], help="Bernoulli denominator for even k")

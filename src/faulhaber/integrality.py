@@ -33,7 +33,7 @@ import math
 from dataclasses import dataclass
 from functools import lru_cache
 
-from . import bernoulli, primes
+from . import bernoulli, powersum, primes
 
 __all__ = [
     "RULE_K1",
@@ -139,7 +139,7 @@ def decide(k: int, n: int) -> Verdict:
 
 
 def prime_block_sum(p: int, k: int) -> int:
-    """sum_{m=1}^{p} m^k mod p, computed directly by modular summation.
+    """sum_{m=1}^{p} m^k mod p, computed directly by ``powersum.s_mod``.
 
     This is the checkable side of the congruence the even rule rests on:
     the result is p - 1 when (p-1) | k and 0 otherwise.
@@ -148,7 +148,7 @@ def prime_block_sum(p: int, k: int) -> int:
         raise ValueError(f"exponent k must be >= 1, got {k}")
     if not primes.is_prime(p):
         raise ValueError(f"p must be prime, got {p}")
-    return sum(pow(m, k, p) for m in range(1, p + 1)) % p
+    return powersum.s_mod(powersum.PowerSumQuery(k=k, n=p), p)
 
 
 def predict_residue(k: int, n: int, p: int) -> ResiduePrediction:

@@ -8,7 +8,7 @@ drive the fast integrality test.  Besides 2 they are the odd primes
 lookup in a 64 KB table of least prime factors; larger candidates go to
 ``is_prime``.  Each k is filtered once per process: its result is cached
 as a tuple, and later calls for the same k return that tuple.  Factoring
-and primality share one trial-division loop bounded by
+and primality share one trial-division loop with one fixed budget,
 ``DEFAULT_FACTOR_BOUND``; it tries the primes below 2^10, read off the
 table, before it walks the odd numbers, and ``factorize`` reads the
 factors of a cofactor below 2^16 straight off the table.  The table is
@@ -83,11 +83,11 @@ def _trial_primes() -> tuple[int, ...]:
     return tuple(c for c in range(2, _TRIAL_PRIMES_END) if not table[c])
 
 
-def _least_factor(n: int, start: int, bound: int) -> int:
+def _least_factor(n: int, start: int) -> int:
     """Least divisor of n that is >= start (2 or odd), given none below it.
 
     Tries the primes below 2^10 first, then every odd number from there.
-    Raises ``FactorizationError`` rather than try a divisor above ``bound``.
+    Raises ``FactorizationError`` rather than try a divisor above ``DEFAULT_FACTOR_BOUND``.
     """
     d = start
     if d < _TRIAL_PRIMES_END:
@@ -96,17 +96,15 @@ def _least_factor(n: int, start: int, bound: int) -> int:
                 continue
             if d * d > n:
                 return n
-            if d > bound:
-                break  # the walk below raises at once
             if n % d == 0:
                 return d
         else:
             d = _TRIAL_PRIMES_END + 1
     while d * d <= n:
-        if d > bound:
-            # no divisor <= bound, so n > bound^2: composite-or-unknown
+        if d > DEFAULT_FACTOR_BOUND:
+            # no divisor <= the bound, so n > bound^2: composite-or-unknown
             raise FactorizationError(
-                f"{n} has no factor up to the trial-division bound {bound}"
+                f"{n} has no factor up to the trial-division bound {DEFAULT_FACTOR_BOUND}"
             )
         if n % d == 0:
             return d
@@ -120,7 +118,7 @@ def is_prime(n: int) -> bool:
     Exact for n below (bound + 1)^2 and for any n with a factor up to the
     bound; raises ``FactorizationError`` otherwise.
     """
-    return n >= 2 and _least_factor(n, 2, DEFAULT_FACTOR_BOUND) == n
+    return n >= 2 and _least_factor(n, 2) == n
 
 
 @lru_cache(maxsize=None)
@@ -147,8 +145,8 @@ def vsc_primes(k: int) -> tuple[int, ...]:
     return (2, *[c for c in candidates if (not table[c] if c < _TABLE_SIZE else is_prime(c))])
 
 
-def factorize(n: int, bound: int = DEFAULT_FACTOR_BOUND) -> tuple[tuple[int, int], ...]:
-    """Factor n >= 2 by trial division with divisors capped at ``bound``.
+def factorize(n: int) -> tuple[tuple[int, int], ...]:
+    """Factor n >= 2 by trial division within the one budget ``DEFAULT_FACTOR_BOUND``.
 
     Returns the (prime, exponent) pairs, primes ascending.  Raises
     ``FactorizationError`` once a cofactor cannot be certified within the
@@ -161,13 +159,10 @@ def factorize(n: int, bound: int = DEFAULT_FACTOR_BOUND) -> tuple[tuple[int, int
         raise ValueError(f"factorize requires n >= 2, got {n}")
     factors: list[tuple[int, int]] = []
     table = _least_factors()
-    # within a bound >= 2^8 trial division certifies every cofactor below 2^16,
-    # and finds the least factor the table holds
-    lookup_end = _TABLE_SIZE if bound >= _TABLE_PRIMES_END else 0
     r = n
     d = 2
     while r > 1:
-        d = (table[r] or r) if r < lookup_end else _least_factor(r, d, bound)
+        d = (table[r] or r) if r < _TABLE_SIZE else _least_factor(r, d)
         a = 0
         while r % d == 0:
             r //= d

@@ -1,3 +1,4 @@
+import argparse
 import dataclasses
 import json
 import os
@@ -15,7 +16,7 @@ import faulhaber.powersum
 import faulhaber.primes
 from faulhaber import selftest
 from faulhaber.bernoulli import BernoulliTable, bernoulli_recursive
-from faulhaber.cli import approx_decimal, format_rational, main
+from faulhaber.cli import approx_decimal, build_parser, format_rational, main
 from faulhaber.primes import vsc_primes
 
 
@@ -57,12 +58,38 @@ def test_bern_verify_route_crosscheck(capsys):
     assert out.strip() == "5/66"
 
 
-def test_bern_over_cap_fails(capsys):
-    code, _, err = run_cli(capsys, "bern", "513")
+@pytest.mark.parametrize(
+    "argv,bound_text",
+    [
+        (("bern", "2049"), "bern is bounded at k <= 2048"),
+        (("bern", "513", "--verify"), "bern --verify is bounded at k <= 512"),
+    ],
+    ids=["plain", "verify"],
+)
+def test_bern_past_its_k_bound_exits_2_before_any_work(capsys, monkeypatch, argv, bound_text):
+    # past the bound either table would take seconds to minutes; neither may start
+    def never(*args):
+        raise AssertionError("a Bernoulli table was built past the k bound")
+
+    monkeypatch.setattr(faulhaber.bernoulli, "bernoulli_recursive", never)
+    monkeypatch.setattr(faulhaber.bernoulli, "bernoulli_egf", never)
+    code, out, err = run_cli(capsys, *argv)
     assert code == 2
-    assert "cap" in err
-    code, _, _ = run_cli(capsys, "bern", "513", "--cap", "600")
+    assert out == ""
+    assert bound_text in err
+
+
+def test_bern_past_the_verify_bound_runs_without_verify(capsys):
+    code, out, _ = run_cli(capsys, "bern", "600")
     assert code == 0
+    assert out == format_rational(bernoulli_recursive(600)[600]) + "\n"
+
+
+def test_bern_has_no_cap_option(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["bern", "4", "--cap", "600"])
+    assert exc.value.code == 2
+    assert capsys.readouterr().out == ""
 
 
 def test_bern_negative_index_fails(capsys):
@@ -367,6 +394,29 @@ def test_cli_is_a_thin_adapter(capsys):
 
     _, out, _ = run_cli(capsys, "avg", "5", "9")
     assert out == format_rational(Fraction(faulhaber.powersum.s_faulhaber(q), 9)) + "\n"
+
+
+def test_option_strings_of_every_subcommand_are_pinned():
+    # every settable option is listed here, so a new one shows up as a diff
+    parser = build_parser()
+    sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    options = {
+        name: sorted(s for action in p._actions for s in action.option_strings)
+        for name, p in sub.choices.items()
+    }
+    options[parser.prog] = sorted(s for action in parser._actions for s in action.option_strings)
+    common = ["--help", "--json", "-h"]
+    assert options == {
+        "faulhaber": ["--help", "-h"],
+        "bern": sorted(common + ["--approx", "--verify"]),
+        "denom": common,
+        "sum": sorted(common + ["--route"]),
+        "avg": sorted(common + ["--approx", "--route"]),
+        "check": common,
+        "table": common,
+        "selftest": sorted(common + ["--quick"]),
+        "bench": sorted(common + ["--budget-ms", "--kmax", "--nmax"]),
+    }
 
 
 def test_usage_error_exits_2():

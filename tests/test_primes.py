@@ -32,7 +32,7 @@ def trial_division_least_factor(n):
 PRIMES_BELOW_2_TO_THE_10 = [d for d in range(2, 1 << 10) if trial_division_is_prime(d)]
 
 
-def trial_division_factorize(n, bound=DEFAULT_FACTOR_BOUND):
+def trial_division_factorize(n):
     # reference, no table: try the primes below 2^10, then every odd number,
     # and give up once a divisor past the bound would have to be tried
     divisors = itertools.chain(PRIMES_BELOW_2_TO_THE_10, itertools.count((1 << 10) + 1, 2))
@@ -42,8 +42,10 @@ def trial_division_factorize(n, bound=DEFAULT_FACTOR_BOUND):
             if r > 1:
                 factors.append((r, 1))
             return tuple(factors)
-        if d > bound:
-            raise FactorizationError(f"{r} has no factor up to the trial-division bound {bound}")
+        if d > DEFAULT_FACTOR_BOUND:
+            raise FactorizationError(
+                f"{r} has no factor up to the trial-division bound {DEFAULT_FACTOR_BOUND}"
+            )
         a = 0
         while r % d == 0:
             r //= d
@@ -52,9 +54,9 @@ def trial_division_factorize(n, bound=DEFAULT_FACTOR_BOUND):
             factors.append((d, a))
 
 
-def outcome(f, *args):
+def outcome(f, n):
     try:
-        return f(*args)
+        return f(n)
     except FactorizationError as exc:
         return f"FactorizationError: {exc}"
 
@@ -184,32 +186,20 @@ def test_factorize_rejects_small_input():
 
 
 def test_factorize_budget_exceeded_is_loud():
-    # 10007 and 10009 are twin primes; their product resists a bound of 10^4
-    n = 10007 * 10009
-    with pytest.raises(FactorizationError):
-        factorize(n, bound=10_000)
-    assert factorize(n, bound=100_000) == ((10007, 1), (10009, 1))
+    # 1000003 and 1000033 are the first two primes past the bound of 10^6;
+    # their product resists it
+    with pytest.raises(FactorizationError, match="trial-division bound 1000000"):
+        factorize(1000003 * 1000033)
 
 
 def test_factorize_budget_never_wrong_on_prime_square():
     with pytest.raises(FactorizationError):
-        factorize(10007 * 10007, bound=10_000)
+        factorize(1000003 * 1000003)
 
 
 def test_factorize_certifies_large_prime_cofactor():
-    # cofactor 10007 < bound^2, so it is provably prime and reported
-    assert factorize(2 * 10007, bound=10_000) == ((2, 1), (10007, 1))
-
-
-def test_factorize_bound_below_the_small_prime_list_end():
-    # trial division tries the primes below 2^10 first; a bound inside that
-    # list still stops it, and a factor past the list is still found
-    with pytest.raises(FactorizationError):
-        factorize(1021 * 1031, bound=1000)
-    assert factorize(1021 * 1031, bound=1021) == ((1021, 1), (1031, 1))
-    assert factorize(97, bound=8) == ((97, 1),)  # 2, 3, 5, 7 certify it
-    with pytest.raises(FactorizationError):
-        factorize(11 * 13, bound=8)
+    # cofactor 1000003 < bound^2, so it is provably prime and reported
+    assert factorize(2 * 1000003) == ((2, 1), (1000003, 1))
 
 
 def test_least_factor_table_matches_trial_division():
@@ -229,11 +219,9 @@ CROSSING = sorted(
 )[1:]  # from 2 on; 1 = 2^0 * 1
 
 
-@pytest.mark.parametrize("bound", [8, 255, 256, 257, 1000, None])
-def test_factorize_matches_trial_division_across_the_table_edge(bound):
-    args = () if bound is None else (bound,)
+def test_factorize_matches_trial_division_across_the_table_edge():
     for n in CROSSING:
-        assert (n, outcome(factorize, n, *args)) == (n, outcome(trial_division_factorize, n, *args))
+        assert (n, outcome(factorize, n)) == (n, outcome(trial_division_factorize, n))
 
 
 def test_is_prime_matches_trial_division_past_the_table_edge():
