@@ -11,11 +11,15 @@ code, which lets each serve as an oracle for the other:
 * ``bernoulli_egf`` long-divides the power series x by (e^x - 1) in exact
   rationals and reads B_k off as k! times the k-th quotient coefficient.
 
-The tangent memo is kept in two forms: the ``Fraction`` values that
-``bernoulli_recursive`` hands out, and the same values as integers over
-one common denominator, (L, (L B_0, ..., L B_M)) with L the lcm of the
-memo's own denominators.  The second form is private; it lets the closed
-form in ``powersum`` build each coefficient with one product.
+A ``BernoulliTable`` keeps B_0..B_limit in one form, as integers over one
+common denominator, (L, (L B_0, ..., L B_limit)); ``t[k]`` and
+``t.values`` hand out ``Fraction`` values, and the closed form in
+``powersum`` reads the integers, so each of its coefficients is one
+product.  ``bernoulli_recursive`` cuts its tables from a per-process memo
+in that form: the last tangent column, and one such pair with L the lcm of
+the memo's own denominators, both grown together under one lock.
+``bernoulli_egf`` is an oracle and keeps no memo; it divides its series
+afresh on each call.
 
 ``vsc_denominator`` is a third, arithmetic-free route to the denominators
 alone: by von Staudt-Clausen, for even k the denominator of B_k in lowest
@@ -42,89 +46,84 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class BernoulliTable:
-    """Immutable table of B_0..B_limit with the route that produced it."""
+    """Immutable table of B_0..B_limit with the route that produced it.
+
+    The values are kept as integers over one common denominator:
+    ``scaled[k]`` is ``lcm * B_k``.  ``lcm`` is a multiple of the lcm of
+    the denominators of B_0..B_limit; a table cut from a longer memo
+    carries the memo's.  Tables compare and hash by limit, route and
+    values, whatever their ``lcm``.
+    """
 
     limit: int
-    values: tuple[Fraction, ...]
+    lcm: int
+    scaled: tuple[int, ...]
     route: str
 
     def __getitem__(self, k: int) -> Fraction:
         if not 0 <= k <= self.limit:
             raise IndexError(f"index {k} outside table range 0..{self.limit}")
-        return self.values[k]
+        return Fraction(self.scaled[k], self.lcm)
+
+    @property
+    def values(self) -> tuple[Fraction, ...]:
+        """B_0..B_limit as ``Fraction`` values in lowest terms."""
+        return tuple(Fraction(a, self.lcm) for a in self.scaled)
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, BernoulliTable):
+            return NotImplemented
+        return (self.limit, self.route, self.values) == (other.limit, other.route, other.values)
+
+    def __hash__(self) -> int:
+        return hash((self.limit, self.route, self.values))
 
 
-# per-process memo, grown on demand; duplicate extension under a race is
-# idempotent, the lock just keeps the growth single-threaded
+# per-process memo, grown on demand under the lock: column n of the tangent
+# recurrence (entries for stages 1..n, T_n the last), and B_0..B_{2n+1} over
+# their common denominator as (L, (L B_0, ..., L B_{2n+1})); each growth binds
+# a new pair, so no reader sees values scaled by another L
 _lock = threading.Lock()
-_recursive_values: list[Fraction] = [Fraction(1), Fraction(-1, 2)]
-# column n of the tangent recurrence, entries for stages 1..n; T_n is the last
 _tangent_column: list[int] = []
-_egf_coeffs: list[Fraction] = [Fraction(1)]  # coefficients of x/(e^x - 1)
-# the memo over its common denominator, (L, (L B_0, ..., L B_M)); each growth
-# binds a new pair, so no reader sees values scaled by another L
-_scaled_values: tuple[int, tuple[int, ...]] = (1, ())
+_scaled_values: tuple[int, tuple[int, ...]] = (2, (2, -1))  # B_0 = 1, B_1 = -1/2
 
 
 def _extend_recursive(limit: int) -> None:
     # Brent and Harvey sweep their triangle row by row; built column by column,
     #   c_n[1] = (n-1) c_{n-1}[1],  c_n[s] = (n-s) c_{n-1}[s] + (n-s+2) c_n[s-1],
     # with c_{n-1}[n] = 0 and T_n = c_n[n], growing the memo costs the new columns only
-    vals, col = _recursive_values, _tangent_column
-    while len(vals) <= limit:
+    global _tangent_column, _scaled_values
+    col, added = _tangent_column, []
+    while 2 * len(col) + 1 < limit:
         n = len(col) + 1
         new = [(n - 1) * col[0] if col else 1]
         for s, c in zip(range(2, n + 1), [*col[1:], 0]):
             new.append((n - s) * c + (n - s + 2) * new[-1])
-        col[:] = new
+        col = new
         four_n = 4**n
         b = Fraction(2 * n * new[-1], four_n * (four_n - 1))
-        vals.extend((b if n % 2 else -b, Fraction(0)))  # B_2n, B_2n+1
+        added += (b if n % 2 else -b, Fraction(0))  # B_2n, B_2n+1
+    if added:
+        _tangent_column, _scaled_values = col, _over_common_denominator(added, _scaled_values)
 
 
 def _over_common_denominator(
     values: Sequence[Fraction], prefix: tuple[int, tuple[int, ...]] = (1, ())
 ) -> tuple[int, tuple[int, ...]]:
-    """(L, (L b_0, L b_1, ...)) for Fractions b_i, L the lcm of their denominators.
+    """(L, (L a_0, ..., L b_0, L b_1, ...)): ``prefix`` extended by the Fractions b_i.
 
-    ``prefix`` is that pair for the first entries of ``values``; they are
+    ``prefix`` is such a pair for the entries a_i before ``values``; L is
+    the lcm of its L and the denominators of the b_i, and the a_i are
     rescaled by the factor L grew by instead of divided out again.
     """
     lcm, done = prefix
-    rest = values[len(done) :]
-    grown = math.lcm(lcm, *{b.denominator for b in rest})
+    grown = math.lcm(lcm, *{b.denominator for b in values})
     if grown != lcm:
         factor = grown // lcm
         done = tuple(a * factor for a in done)
-    return grown, done + tuple(b.numerator * (grown // b.denominator) for b in rest)
-
-
-def _scaled_recursive(limit: int) -> tuple[int, tuple[int, ...]]:
-    """The memo over its common denominator, covering at least B_0..B_limit."""
-    global _scaled_values
-    # grow the memo through the public name, so a wrapper on it sees the call
-    bernoulli_recursive(limit)
-    pair = _scaled_values
-    if len(pair[1]) <= limit:
-        with _lock:
-            if len(_scaled_values[1]) <= limit:
-                _scaled_values = _over_common_denominator(_recursive_values, _scaled_values)
-            pair = _scaled_values
-    return pair
-
-
-def _extend_egf(limit: int) -> None:
-    # q = x / (e^x - 1) as a truncated series; with d_i = 1/(i+1)! the
-    # divisor (e^x - 1)/x has d_0 = 1, so long division reads
-    #   q_i = -(d_1 q_{i-1} + ... + d_i q_0)
-    q = _egf_coeffs
-    if len(q) > limit:
-        return
-    d = [Fraction(1, math.factorial(j + 1)) for j in range(limit + 1)]
-    for i in range(len(q), limit + 1):
-        q.append(-sum(d[j] * q[i - j] for j in range(1, i + 1)))
+    return grown, done + tuple(b.numerator * (grown // b.denominator) for b in values)
 
 
 def bernoulli_recursive(limit: int) -> BernoulliTable:
@@ -137,18 +136,23 @@ def bernoulli_recursive(limit: int) -> BernoulliTable:
         raise ValueError(f"table limit must be >= 0, got {limit}")
     with _lock:
         _extend_recursive(limit)
-        vals = tuple(_recursive_values[: limit + 1])
-    return BernoulliTable(limit=limit, values=vals, route="recursive")
+        lcm, scaled = _scaled_values
+    return BernoulliTable(limit=limit, lcm=lcm, scaled=scaled[: limit + 1], route="recursive")
 
 
 def bernoulli_egf(limit: int) -> BernoulliTable:
     """Exact table B_0..B_limit from series division of x by (e^x - 1)."""
     if limit < 0:
         raise ValueError(f"table limit must be >= 0, got {limit}")
-    with _lock:
-        _extend_egf(limit)
-        vals = tuple(math.factorial(k) * _egf_coeffs[k] for k in range(limit + 1))
-    return BernoulliTable(limit=limit, values=vals, route="egf")
+    # q = x / (e^x - 1) as a truncated series; with d_i = 1/(i+1)! the
+    # divisor (e^x - 1)/x has d_0 = 1, so long division reads
+    #   q_i = -(d_1 q_{i-1} + ... + d_i q_0)
+    d = [Fraction(1, math.factorial(j + 1)) for j in range(limit + 1)]
+    q = [Fraction(1)]
+    for i in range(1, limit + 1):
+        q.append(-sum(d[j] * q[i - j] for j in range(1, i + 1)))
+    lcm, scaled = _over_common_denominator([math.factorial(k) * c for k, c in enumerate(q)])
+    return BernoulliTable(limit=limit, lcm=lcm, scaled=scaled, route="egf")
 
 
 @lru_cache(maxsize=None)

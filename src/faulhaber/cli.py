@@ -26,13 +26,6 @@ from .powersum import InconsistencyError, PowerSumQuery
 
 __all__ = ["main", "entry", "format_rational", "approx_decimal"]
 
-# looked up on ``powersum`` at call time, so wrapped or patched routes are seen
-_ROUTES = {
-    "brute": lambda q: powersum.s_brute(q),
-    "faulhaber": lambda q: powersum.s_faulhaber(q),
-    "recursive": lambda q: powersum.s_recursive(q.k, q.n)[-1],
-}
-
 # s_brute adds n powers one by one; past this many terms it is refused, not run
 _BRUTE_TERM_BOUND = 10**6
 # s_recursive makes about k^2/2 big-int products of numbers that grow with k and
@@ -50,17 +43,22 @@ def _recursive_work(k: int, n: int) -> int:
     return k * k * (k + 1) * ((n + 1).bit_length() + 32)
 
 
-# each route's bound as a test on (k, n), and the refusal text that names it
-_ROUTE_BOUNDS = {
+# each route: its function, looked up on ``powersum`` at call time so wrapped
+# or patched routes are seen; its bound as a test on (k, n); the refusal text
+# that names the bound
+_ROUTES = {
     "brute": (
+        lambda q: powersum.s_brute(q),
         lambda k, n: n <= _BRUTE_TERM_BOUND,
         f"adds n terms one by one and is bounded at n <= {_BRUTE_TERM_BOUND}",
     ),
     "faulhaber": (
+        lambda q: powersum.s_faulhaber(q),
         lambda k, n: k <= _FAULHABER_K_BOUND,
         f"builds the Bernoulli table to B_k and is bounded at k <= {_FAULHABER_K_BOUND}",
     ),
     "recursive": (
+        lambda q: powersum.s_recursive(q.k, q.n)[-1],
         lambda k, n: _recursive_work(k, n) <= _RECURSIVE_WORK_BOUND,
         "is bounded at k^2 (k+1) (bit length of n+1, plus 32)"
         f" <= {_RECURSIVE_WORK_BOUND}",
@@ -110,15 +108,15 @@ def approx_decimal(q: Fraction) -> str:
 def _sum_by_route(k: int, n: int, route: str) -> int:
     names = _ROUTES if route == "all" else (route,)
     for name in names:
-        admits, bound_text = _ROUTE_BOUNDS[name]
+        _, admits, bound_text = _ROUTES[name]
         if not admits(k, n):
-            others = [f"--route {r}" for r, (ok, _) in _ROUTE_BOUNDS.items() if ok(k, n)]
+            others = [f"--route {r}" for r, (_, ok, _) in _ROUTES.items() if ok(k, n)]
             advice = f"use {' or '.join(others)} for" if others else "no route's bound admits"
             raise ValueError(
                 f"the {name} route (in --route {route}) {bound_text}; {advice} k={k}, n={n}"
             )
     q = PowerSumQuery(k=k, n=n)
-    values = {name: _ROUTES[name](q) for name in names}
+    values = {name: _ROUTES[name][0](q) for name in names}
     if len(set(values.values())) != 1:
         raise InconsistencyError(f"routes disagree for k={k}, n={n}: {values}")
     return next(iter(values.values()))

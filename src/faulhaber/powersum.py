@@ -74,16 +74,16 @@ def s_brute(q: PowerSumQuery) -> int:
 def s_faulhaber(q: PowerSumQuery, table: bernoulli.BernoulliTable | None = None) -> int:
     """Evaluate the Bernoulli closed form exactly and return the integer sum.
 
-    Every B_j is scaled by a common denominator L, which makes
-    L (k + 1) S_k(n) an integer polynomial in x = n + 1.  With no table,
-    L is the lcm of the denominators of the whole Bernoulli memo, which can
-    reach past B_k, so L is a multiple of lcm(D_0..D_k); the memo is kept
-    over L already, and each coefficient C(k+1, j) L B_j is one product.
-    With a table, L is the lcm of that table's B_0..B_k.  The polynomial is
-    evaluated as a balanced product tree (Estrin's scheme): neighbouring
-    coefficients pair up as c_i + c_{i+1} x, those pairs pair up under x^2,
-    then x^4, and so on, so the large products near the top are of equal
-    size and take CPython's Karatsuba path instead of k schoolbook steps.
+    The table (with none given, ``bernoulli.bernoulli_recursive(k)``, cut
+    from the per-process memo) holds every B_j as L B_j over one common
+    denominator L, which makes L (k + 1) S_k(n) an integer polynomial in
+    x = n + 1 whose coefficients C(k+1, j) L B_j are one product each.
+    L is a multiple of lcm(D_0..D_k): a table cut from a memo that reaches
+    past B_k carries the memo's L.  The polynomial is evaluated as a
+    balanced product tree (Estrin's scheme): neighbouring coefficients
+    pair up as c_i + c_{i+1} x, those pairs pair up under x^2, then x^4,
+    and so on, so the large products near the top are of equal size and
+    take CPython's Karatsuba path instead of k schoolbook steps.
     One division by L (k + 1) ends it; a nonzero remainder means a bad
     value and is raised.  An error e in B_j moves the numerator by
     C(k+1, j) L e x^(k+1-j), so L cancels against the divisor, and a
@@ -91,11 +91,10 @@ def s_faulhaber(q: PowerSumQuery, table: bernoulli.BernoulliTable | None = None)
     """
     k, n = q.k, q.n
     if table is None:
-        lcm, scaled = bernoulli._scaled_recursive(k)
+        table = bernoulli.bernoulli_recursive(k)
     elif table.limit < k:
         raise ValueError(f"table covers 0..{table.limit}, need index {k}")
-    else:
-        lcm, scaled = bernoulli._over_common_denominator(table.values[: k + 1])
+    lcm, scaled = table.lcm, table.scaled
     # c[i] is the coefficient of x^i: C(k+1, j) L B_j at i = k + 1 - j
     c = [0] * (k + 2)
     binom = 1  # C(k+1, j)

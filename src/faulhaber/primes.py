@@ -127,10 +127,12 @@ def vsc_primes(k: int) -> tuple[int, ...]:
 
     Always contains 2 and 3, and nothing above k + 1.  The first call for
     each k runs the filter: one ``factorize(k)`` lists the odd candidates
-    2m + 1 with m | k/2, which are sorted once; each is then looked up in
-    the least-factor table below 2^16 (prime where the entry is 0) and
-    passed to ``is_prime`` from 2^16 on.  Later calls return the cached
-    tuple.  A k that raises is not cached, so it raises again.
+    2m + 1 with m | k/2, which are sorted once and settled from the
+    largest down: each is looked up in the least-factor table below 2^16
+    (prime where the entry is 0) and passed to ``is_prime`` from 2^16 on.
+    So a candidate that ``is_prime`` cannot certify raises before the many
+    small ones are spent.  Later calls return the cached tuple.  A k that
+    raises is not cached, so it raises again.
     """
     if k < 2 or k % 2 != 0:
         raise ValueError(f"k must be a positive even integer, got {k}")
@@ -142,7 +144,9 @@ def vsc_primes(k: int) -> tuple[int, ...]:
             candidates += step
     candidates.sort()
     table = _least_factors()
-    return (2, *[c for c in candidates if (not table[c] if c < _TABLE_SIZE else is_prime(c))])
+    found = [c for c in reversed(candidates) if (not table[c] if c < _TABLE_SIZE else is_prime(c))]
+    found.reverse()
+    return (2, *found)
 
 
 def factorize(n: int) -> tuple[tuple[int, int], ...]:

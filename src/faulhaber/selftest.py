@@ -14,7 +14,8 @@ the route it pins, then the oracle it is held to.
 * vsc-consistency          reduced denominators of B_k vs ``vsc_denominator``, even k <= 60
 * irregular-scan           ``is_regular`` vs the known irregular primes 37, 59, 67 below 100
 * three-route-agreement    ``s_brute`` vs ``s_faulhaber`` vs ``s_recursive``, k <= 12, n <= 60;
-                           ``s_faulhaber`` both over a table and over the Bernoulli memo
+                           ``s_faulhaber`` both over a ``bernoulli_egf`` table and over
+                           the Bernoulli memo
 * modular-consistency      ``s_mod`` vs ``s_brute`` reduced mod m, k <= 8, n <= 40, m <= 30
 * closed-form-spot         ``mu`` vs the quadratic and quartic closed forms, n <= 30
 * theorem-vs-oracle        ``decide`` vs the ``s_mod`` residue and ``mu``, k <= 30, n <= 500
@@ -131,14 +132,14 @@ def _irregular_scan(quick: bool) -> None:
 
 def _three_route_agreement(quick: bool) -> None:
     ktop, ntop = (8, 20) if quick else (12, 60)
-    table = bernoulli.bernoulli_recursive(ktop)
+    table = bernoulli.bernoulli_egf(ktop)  # the oracle's table, independent of the memo
     for n in range(1, ntop + 1):
         rec = powersum.s_recursive(ktop, n)
         for k in range(1, ktop + 1):
             q = PowerSumQuery(k=k, n=n)
             b = powersum.s_brute(q)
             f = powersum.s_faulhaber(q, table)
-            m = powersum.s_faulhaber(q)  # over the memo's common denominator
+            m = powersum.s_faulhaber(q)  # over the memo
             if not (b == f == m == rec[k - 1]):
                 _fail(f"routes disagree at k={k}, n={n}: {b}, {f}, {m}, {rec[k - 1]}")
 

@@ -40,6 +40,18 @@ def test_table_indexing_bounds():
         t[-1]
 
 
+def test_tables_of_the_same_values_are_equal_over_any_common_denominator(fresh_memo):
+    # a table cut from the memo carries the memo's L, which grows with the memo
+    small = bernoulli_recursive(6)
+    bernoulli_recursive(300)
+    again = bernoulli_recursive(6)
+    assert again.lcm != small.lcm
+    assert again == small
+    assert hash(again) == hash(small)
+    assert again != bernoulli_recursive(7)
+    assert again != bernoulli_egf(6)  # another route
+
+
 def test_negative_limit_rejected():
     with pytest.raises(ValueError):
         bernoulli_recursive(-1)

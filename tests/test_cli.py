@@ -15,7 +15,7 @@ import faulhaber.integrality
 import faulhaber.powersum
 import faulhaber.primes
 from faulhaber import selftest
-from faulhaber.bernoulli import BernoulliTable, bernoulli_recursive
+from faulhaber.bernoulli import BernoulliTable, _over_common_denominator, bernoulli_recursive
 from faulhaber.cli import approx_decimal, build_parser, format_rational, main
 from faulhaber.primes import vsc_primes
 
@@ -29,7 +29,7 @@ def run_cli(capsys, *argv):
 def corrupt_egf(limit):
     good = bernoulli_recursive(limit)
     values = good.values[:-1] + (good.values[-1] + 1,)
-    return BernoulliTable(limit=limit, values=values, route="egf")
+    return BernoulliTable(limit, *_over_common_denominator(values), "egf")
 
 
 def test_format_rational():

@@ -84,11 +84,8 @@ def test_query_is_frozen():
 def test_faulhaber_inconsistency_is_loud():
     # a corrupted table must trip the exactness check, not return garbage
     good = bernoulli_recursive(4)
-    bad = BernoulliTable(
-        limit=4,
-        values=good.values[:2] + (Fraction(1, 7),) + good.values[3:],
-        route="recursive",
-    )
+    values = good.values[:2] + (Fraction(1, 7),) + good.values[3:]
+    bad = BernoulliTable(4, *bernoulli._over_common_denominator(values), "recursive")
     with pytest.raises(InconsistencyError):
         s_faulhaber(PowerSumQuery(k=4, n=5), bad)
 
@@ -129,41 +126,49 @@ def test_faulhaber_inconsistency_is_loud_at_large_index():
     good = bernoulli_recursive(511)
     values = list(good.values)
     values[256] += 1
-    bad = BernoulliTable(limit=511, values=tuple(values), route="recursive")
+    bad = BernoulliTable(511, *bernoulli._over_common_denominator(values), "recursive")
     for n in (2, 10**40):
         with pytest.raises(InconsistencyError):
             s_faulhaber(PowerSumQuery(k=511, n=n), bad)
 
 
-@pytest.fixture
-def fresh_memo(monkeypatch):
-    """An empty Bernoulli memo for one test; the module's own memo comes back after it."""
-    monkeypatch.setattr(bernoulli, "_recursive_values", [Fraction(1), Fraction(-1, 2)])
-    monkeypatch.setattr(bernoulli, "_tangent_column", [])
-    monkeypatch.setattr(bernoulli, "_scaled_values", (1, ()))
+def test_faulhaber_without_a_table_reads_the_memo_through_the_module(monkeypatch):
+    # one bernoulli_recursive(k) call per sum, looked up on the module at call
+    # time, so a wrapper on it (a tracer, a planted fault) sees every read
+    calls = []
+    real = bernoulli.bernoulli_recursive
+    monkeypatch.setattr(bernoulli, "bernoulli_recursive", lambda limit: calls.append(limit) or real(limit))
+    for k in (1, 37, 300):
+        assert s_faulhaber(PowerSumQuery(k=k, n=7)) == s_brute(PowerSumQuery(k=k, n=7))
+    s_faulhaber(PowerSumQuery(k=5, n=7), real(12))
+    assert calls == [1, 37, 300]
 
 
 def test_faulhaber_over_the_memo_matches_a_table(fresh_memo):
     # from an empty memo, each k past the memo grows it and most steps change
-    # its common denominator L; 511 and the rest come after 1534, and k = 1
-    # comes again at the end, so small k also run over the largest L
+    # its common denominator L, so the prefix is rescaled again and again; 511
+    # and the rest come after 1534, and k = 1 comes again at the end, so small
+    # k also run over the largest L.  The memo grown in steps must equal the
+    # one built in a single step from another empty memo.
     n = 10**40 + 12349
     order = [*FOLD_SHAPE_KS, FOLD_SHAPE_KS[0]]
-    sums, lcms = [], set()
+    lcms = set()
     for k in order:
-        sums.append(s_faulhaber(PowerSumQuery(k=k, n=n)))
+        s_faulhaber(PowerSumQuery(k=k, n=n))
         lcms.add(bernoulli._scaled_values[0])
     assert len(lcms) > 60  # at least one L for each prime up to 301
-    table = bernoulli_recursive(max(FOLD_SHAPE_KS))
-    for k, s in zip(order, sums):
-        assert s == s_faulhaber(PowerSumQuery(k=k, n=n), table), k
+    stepwise = bernoulli._scaled_values
+    fresh_memo()
+    one_shot = bernoulli_recursive(len(stepwise[1]) - 1)
+    assert stepwise == (one_shot.lcm, one_shot.scaled)
 
 
 def test_faulhaber_over_the_memo_is_loud_at_large_index(fresh_memo, monkeypatch):
     # B_256 + 1 planted in the memo over its common denominator L adds L to
     # L B_256; the argument of test_faulhaber_inconsistency_is_loud_at_large_index
     # holds as it is, because L cancels against the L in the divisor
-    lcm, scaled = bernoulli._scaled_recursive(511)
+    bernoulli_recursive(511)
+    lcm, scaled = bernoulli._scaled_values
     planted = (*scaled[:256], scaled[256] + lcm, *scaled[257:])
     monkeypatch.setattr(bernoulli, "_scaled_values", (lcm, planted))
     for n in (2, 10**40):

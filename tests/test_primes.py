@@ -5,6 +5,7 @@ import sys
 
 import pytest
 
+import faulhaber.primes
 from faulhaber.primes import (
     DEFAULT_FACTOR_BOUND,
     FactorizationError,
@@ -158,6 +159,24 @@ def test_vsc_primes_does_not_cache_errors():
     for _ in range(2):
         with pytest.raises(FactorizationError):
             vsc_primes(20000000000074)
+
+
+def test_vsc_primes_raises_before_spending_the_small_candidates(monkeypatch):
+    # k = 2^7 3^4 5^2 7^2 11 13 ... 31 has 40320 candidates 2m + 1, and k + 1
+    # itself cannot be certified; settled from the bottom, the filter ran
+    # is_prime over tens of thousands of candidates (most of a minute) first
+    calls = []
+
+    def is_prime_giving_up_after_50(n):
+        calls.append(n)
+        if len(calls) > 50:
+            raise AssertionError("the filter passed more than 50 candidates to is_prime")
+        return is_prime(n)
+
+    monkeypatch.setattr(faulhaber.primes, "is_prime", is_prime_giving_up_after_50)
+    with pytest.raises(FactorizationError):
+        vsc_primes(12129898443062400)
+    assert calls
 
 
 def test_vsc_primes_rejects_odd_or_nonpositive():

@@ -11,7 +11,7 @@ from faulhaber import bernoulli, powersum, primes, selftest
 vsc_primes = primes.vsc_primes
 s_brute = powersum.s_brute
 mu = powersum.mu
-scaled_recursive = bernoulli._scaled_recursive
+bernoulli_recursive = bernoulli.bernoulli_recursive
 
 
 @pytest.mark.parametrize("check", [c for _, c in selftest.GROUPS], ids=[n for n, _ in selftest.GROUPS])
@@ -20,10 +20,11 @@ def test_group_holds_at_full_range(check):
 
 
 def memo_off_by_x_to_the_k_plus_1(limit):
-    # L (k+1) added to L B_0 moves S_k(n) by exactly x^(k+1), x = n + 1, so the
-    # division stays exact and only the route comparison can see it
-    lcm, scaled = scaled_recursive(limit)
-    return lcm, (scaled[0] + lcm * (limit + 1), *scaled[1:])
+    # L (k+1) added to L B_0 of the table cut from the memo at k moves S_k(n)
+    # by exactly x^(k+1), x = n + 1, so the division stays exact and only the
+    # route comparison can see it
+    t = bernoulli_recursive(limit)
+    return dataclasses.replace(t, scaled=(t.scaled[0] + t.lcm * (limit + 1), *t.scaled[1:]))
 
 
 # One fault per property the prime filter, s_brute, the Bernoulli memo behind
@@ -42,7 +43,7 @@ FAULTS = [
                  lambda k: [p for p in vsc_primes(k) if not (p == 5 and k % 3 == 0)], id="not-monotone"),
     pytest.param("three-route-agreement", powersum, "s_brute",
                  lambda q: s_brute(q) - q.n**q.k, id="no-last-term"),
-    pytest.param("three-route-agreement", bernoulli, "_scaled_recursive",
+    pytest.param("three-route-agreement", bernoulli, "bernoulli_recursive",
                  memo_off_by_x_to_the_k_plus_1, id="memo-off-by-x^(k+1)"),
     pytest.param("modular-consistency", powersum, "s_brute",
                  lambda q: s_brute(q) + (q.n == 7), id="off-by-one-at-7"),
