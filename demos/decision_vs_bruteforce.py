@@ -4,7 +4,8 @@
 The rule costs one gcd after factoring k and keeping the primes d+1 with
 d | k.  Summation costs n modular exponentiations (or n exact ones).  This
 script runs ``faulhaber bench`` under a small per-cell budget so it
-finishes quickly; raise BUDGET_MS to let the summations run longer.
+finishes quickly; raise BUDGET_MS, up to bench's 5000 ms bound, to let
+the summations run longer.
 
 Run:  python3 demos/decision_vs_bruteforce.py
 """

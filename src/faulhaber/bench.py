@@ -7,15 +7,15 @@ k-th powers an integer?":
 * ``s_mod``   -- modular summation of n terms,
 * ``s_brute`` -- the exact sum, then a divisibility check.
 
-The summation methods run under a per-cell time budget (default 5 s) and
-are marked infeasible instead of hanging; an estimated total time is
-extrapolated from the progress made, so the report still shows the gap.
+The summation methods run under a per-cell time budget (5 s by default,
+and at most that) and are marked infeasible instead of hanging; an
+estimated total time is extrapolated from the progress made, so the
+report still shows the gap.
 Whenever two methods both finish a cell, their verdicts are cross-checked.
 """
 
 from __future__ import annotations
 
-import math
 import time
 from dataclasses import dataclass
 
@@ -78,11 +78,12 @@ def run_bench(
     """Time every method on every cell; raises on verdict disagreement.
 
     The budget and every cell are checked before the first cell is timed,
-    so a bad argument fails at once: a budget that is not a finite number
-    of ms > 0 would never expire, and a cell needs k >= 1 and n >= 1.
+    so a bad argument fails at once: the budget must lie in
+    (0, DEFAULT_BUDGET_MS] ms, because a larger one lets the summations at
+    the default cells run for hours, and a cell needs k >= 1 and n >= 1.
     """
-    if not 0 < budget_ms < math.inf:
-        raise ValueError(f"budget must be a finite number of ms > 0, got {budget_ms}")
+    if not 0 < budget_ms <= DEFAULT_BUDGET_MS:
+        raise ValueError(f"budget must be > 0 and <= {DEFAULT_BUDGET_MS:g} ms, got {budget_ms}")
     for k, n in cells:
         PowerSumQuery(k=k, n=n)
     budget_s = budget_ms / 1000.0

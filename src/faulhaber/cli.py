@@ -231,7 +231,7 @@ def _cmd_table(args: argparse.Namespace) -> int:
 
 
 def _cmd_selftest(args: argparse.Namespace) -> int:
-    results = selftest.run_groups(quick=args.quick)
+    results = selftest.run_groups()
     failed = [r for r in results if not r.passed]
     for r in results:
         record = {
@@ -260,13 +260,7 @@ def _cmd_selftest(args: argparse.Namespace) -> int:
 
 
 def _cmd_bench(args: argparse.Namespace) -> int:
-    cells = bench.DEFAULT_CELLS
-    if (args.kmax is None) != (args.nmax is None):
-        missing = "--nmax" if args.nmax is None else "--kmax"
-        raise ValueError(f"the extra bench cell needs both --kmax and --nmax; {missing} is missing")
-    if args.kmax is not None:
-        cells = cells + ((args.kmax, args.nmax),)
-    results = bench.run_bench(cells, budget_ms=args.budget_ms)
+    results = bench.run_bench(budget_ms=args.budget_ms)
     for c in results:
         record = {
             "command": "bench",
@@ -347,13 +341,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(handler=_cmd_table)
 
     p = sub.add_parser("selftest", parents=[common], help="run the full invariant suite")
-    p.add_argument("--quick", action="store_true", help="reduced ranges, same checks")
     p.set_defaults(handler=_cmd_selftest)
 
     p = sub.add_parser("bench", parents=[common], help="decision rule vs summation timings")
     p.add_argument("--budget-ms", type=float, default=bench.DEFAULT_BUDGET_MS)
-    p.add_argument("--kmax", type=int, default=None, help="extra cell: exponent")
-    p.add_argument("--nmax", type=int, default=None, help="extra cell: upper limit")
     p.set_defaults(handler=_cmd_bench)
 
     return parser

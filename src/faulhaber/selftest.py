@@ -1,8 +1,7 @@
 """Runnable invariant suite: every library-level property, at full ranges.
 
-Each group raises ``InvariantViolation`` naming the first counterexample;
-``quick=True`` shrinks the ranges, never the checks.  One line per group:
-the route it pins, then the oracle it is held to.
+Each group raises ``InvariantViolation`` naming the first counterexample.
+One line per group: the route it pins, then the oracle it is held to.
 
 * vsc-divisors-vs-sieve    ``vsc_primes`` vs a sieve filtered by (p-1) | k, even k <= 5000;
                            two independent routes: the filter factors k and looks its
@@ -18,7 +17,7 @@ the route it pins, then the oracle it is held to.
                            the Bernoulli memo
 * modular-consistency      ``s_mod`` vs ``s_brute`` reduced mod m, k <= 8, n <= 40, m <= 30
 * closed-form-spot         ``mu`` vs the quadratic and quartic closed forms, n <= 30
-* theorem-vs-oracle        ``decide`` vs the ``s_mod`` residue and ``mu``, k <= 30, n <= 500
+* theorem-vs-oracle        ``decide`` vs the ``s_recursive`` residue and ``mu``, k <= 30, n <= 500
 * block-sum-residues       ``prime_block_sum`` vs p-1 or 0 by (p-1) | k, p <= 47, k <= 50
 * lemma-zero-residue       ``s_mod`` at n = p^a vs 0 when (p-1) does not divide k
 * residue-prediction       ``predict_residue`` vs the ``s_mod`` residue, n <= 200, even k <= 12
@@ -58,8 +57,8 @@ def _fail(msg: str) -> None:
 # --- primes -----------------------------------------------------------
 
 
-def _vsc_divisors_vs_sieve(quick: bool) -> None:
-    top = 500 if quick else 5000
+def _vsc_divisors_vs_sieve() -> None:
+    top = 5000
     sieved = primes.sieve(top + 1)
     for k in range(2, top + 1, 2):
         want = tuple(p for p in sieved if p <= k + 1 and k % (p - 1) == 0)
@@ -68,8 +67,8 @@ def _vsc_divisors_vs_sieve(quick: bool) -> None:
             _fail(f"divisor filter for k={k} gives {got}, the sieve {want}")
 
 
-def _factorize_roundtrip(quick: bool) -> None:
-    top = 2000 if quick else 10**4
+def _factorize_roundtrip() -> None:
+    top = 10**4
     for n in range(2, top + 1):
         f = primes.factorize(n)
         value = math.prod(p**a for p, a in f)
@@ -85,8 +84,8 @@ def _factorize_roundtrip(quick: bool) -> None:
 # --- bernoulli --------------------------------------------------------
 
 
-def _route_equivalence(quick: bool) -> None:
-    top = 16 if quick else 40
+def _route_equivalence() -> None:
+    top = 40
     rec = bernoulli.bernoulli_recursive(top)
     egf = bernoulli.bernoulli_egf(top)
     if (rec.route, egf.route) != ("recursive", "egf"):
@@ -96,8 +95,8 @@ def _route_equivalence(quick: bool) -> None:
             _fail(f"routes disagree at index {k}: {rec[k]} vs {egf[k]}")
 
 
-def _odd_vanishing(quick: bool) -> None:
-    mtop = 10 if quick else 24
+def _odd_vanishing() -> None:
+    mtop = 24
     rec = bernoulli.bernoulli_recursive(2 * mtop + 1)
     egf = bernoulli.bernoulli_egf(2 * mtop + 1)
     for m in range(1, mtop + 1):
@@ -105,8 +104,8 @@ def _odd_vanishing(quick: bool) -> None:
             _fail(f"odd-index value B_{2 * m + 1} is nonzero")
 
 
-def _vsc_consistency(quick: bool) -> None:
-    top = 30 if quick else 60
+def _vsc_consistency() -> None:
+    top = 60
     table = bernoulli.bernoulli_recursive(top)
     for k in range(2, top + 1, 2):
         d = bernoulli.vsc_denominator(k)
@@ -114,8 +113,8 @@ def _vsc_consistency(quick: bool) -> None:
             _fail(f"denominator of B_{k} is {table[k].denominator}, prime product {d}")
 
 
-def _irregular_scan(quick: bool) -> None:
-    top, expected = (50, {37}) if quick else (100, {37, 59, 67})
+def _irregular_scan() -> None:
+    top, expected = 100, {37, 59, 67}
     found = set()
     for p in primes.sieve(top - 1):
         if p < 5:
@@ -130,8 +129,8 @@ def _irregular_scan(quick: bool) -> None:
 # --- power sums -------------------------------------------------------
 
 
-def _three_route_agreement(quick: bool) -> None:
-    ktop, ntop = (8, 20) if quick else (12, 60)
+def _three_route_agreement() -> None:
+    ktop, ntop = 12, 60
     table = bernoulli.bernoulli_egf(ktop)  # the oracle's table, independent of the memo
     for n in range(1, ntop + 1):
         rec = powersum.s_recursive(ktop, n)
@@ -144,8 +143,8 @@ def _three_route_agreement(quick: bool) -> None:
                 _fail(f"routes disagree at k={k}, n={n}: {b}, {f}, {m}, {rec[k - 1]}")
 
 
-def _modular_consistency(quick: bool) -> None:
-    ktop, ntop, mtop = (5, 20, 12) if quick else (8, 40, 30)
+def _modular_consistency() -> None:
+    ktop, ntop, mtop = 8, 40, 30
     for k in range(1, ktop + 1):
         for n in range(1, ntop + 1):
             q = PowerSumQuery(k=k, n=n)
@@ -155,8 +154,8 @@ def _modular_consistency(quick: bool) -> None:
                     _fail(f"modular sum wrong at k={k}, n={n}, m={m}")
 
 
-def _closed_form_spot(quick: bool) -> None:
-    ntop = 12 if quick else 30
+def _closed_form_spot() -> None:
+    ntop = 30
     for n in range(1, ntop + 1):
         m2 = powersum.mu(PowerSumQuery(k=2, n=n)).value
         if m2 * 6 != (n + 1) * (2 * n + 1):
@@ -169,14 +168,14 @@ def _closed_form_spot(quick: bool) -> None:
 # --- integrality ------------------------------------------------------
 
 
-def _theorem_vs_oracle(quick: bool) -> None:
-    ktop, ntop = (10, 100) if quick else (30, 500)
-    for k in range(1, ktop + 1):
-        for n in range(1, ntop + 1):
-            q = PowerSumQuery(k=k, n=n)
+def _theorem_vs_oracle() -> None:
+    ktop, ntop = 30, 500
+    for n in range(1, ntop + 1):
+        sums = powersum.s_recursive(ktop, n)  # every S_k(n), k <= ktop, in one pass
+        for k in range(1, ktop + 1):
             by_rule = integrality.decide(k, n).integral
-            by_residue = powersum.s_mod(q, n) == 0
-            by_average = powersum.mu(q).integral
+            by_residue = sums[k - 1] % n == 0
+            by_average = powersum.mu(PowerSumQuery(k=k, n=n)).integral
             if not (by_rule == by_residue == by_average):
                 _fail(
                     f"verdict disagreement at k={k}, n={n}: "
@@ -184,8 +183,8 @@ def _theorem_vs_oracle(quick: bool) -> None:
                 )
 
 
-def _block_sum_residues(quick: bool) -> None:
-    ptop, ktop = (23, 24) if quick else (47, 50)
+def _block_sum_residues() -> None:
+    ptop, ktop = 47, 50
     for p in primes.sieve(ptop):
         for k in range(1, ktop + 1):
             got = integrality.prime_block_sum(p, k)
@@ -194,8 +193,8 @@ def _block_sum_residues(quick: bool) -> None:
                 _fail(f"block sum at p={p}, k={k} is {got}, expected {want}")
 
 
-def _lemma_zero_residue(quick: bool) -> None:
-    ktop = 10 if quick else 20
+def _lemma_zero_residue() -> None:
+    ktop = 20
     for p in (2, 3, 5):
         for a in (1, 2, 3):
             for k in range(1, ktop + 1):
@@ -206,8 +205,8 @@ def _lemma_zero_residue(quick: bool) -> None:
                     _fail(f"prime-power block sum nonzero at p={p}, a={a}, k={k}")
 
 
-def _residue_prediction(quick: bool) -> None:
-    ktop, ntop = (6, 80) if quick else (12, 200)
+def _residue_prediction() -> None:
+    ktop, ntop = 12, 200
     for n in range(2, ntop + 1):
         for p, _a in primes.factorize(n):
             for k in range(2, ktop + 1, 2):
@@ -220,8 +219,8 @@ def _residue_prediction(quick: bool) -> None:
                     )
 
 
-def _denominator_equivalence(quick: bool) -> None:
-    ktop, ntop = (24, 60) if quick else (40, 200)
+def _denominator_equivalence() -> None:
+    ktop, ntop = 40, 200
     by_den: dict[int, list[int]] = {}
     for k in range(2, ktop + 1, 2):
         by_den.setdefault(bernoulli.vsc_denominator(k), []).append(k)
@@ -236,9 +235,9 @@ def _denominator_equivalence(quick: bool) -> None:
                     )
 
 
-def _periodicity(quick: bool) -> None:
-    ks = (2, 4) if quick else (2, 4, 6, 8, 10, 12)
-    ntop = 30 if quick else 100
+def _periodicity() -> None:
+    ks = (2, 4, 6, 8, 10, 12)
+    ntop = 100
     for k in ks:
         period = 4 * bernoulli.vsc_denominator(k)
         for n in range(1, ntop + 1):
@@ -246,7 +245,7 @@ def _periodicity(quick: bool) -> None:
                 _fail(f"verdict not {period}-periodic at k={k}, n={n}")
 
 
-GROUPS: list[tuple[str, Callable[[bool], None]]] = [
+GROUPS: list[tuple[str, Callable[[], None]]] = [
     ("vsc-divisors-vs-sieve", _vsc_divisors_vs_sieve),
     ("factorize-roundtrip", _factorize_roundtrip),
     ("route-equivalence", _route_equivalence),
@@ -265,14 +264,18 @@ GROUPS: list[tuple[str, Callable[[bool], None]]] = [
 ]
 
 
-def run_groups(quick: bool = False) -> list[GroupResult]:
-    """Run every invariant group; failures are collected, not raised."""
+def run_groups() -> list[GroupResult]:
+    """Run every invariant group; failures are collected, not raised.
+
+    A route's own ``InconsistencyError`` inside a group is that group's
+    failure too, so the other groups still run.
+    """
     results = []
     for name, check in GROUPS:
         start = time.perf_counter()
         try:
-            check(quick)
+            check()
             results.append(GroupResult(name, True, "", time.perf_counter() - start))
-        except InvariantViolation as exc:
+        except (InvariantViolation, powersum.InconsistencyError) as exc:
             results.append(GroupResult(name, False, str(exc), time.perf_counter() - start))
     return results

@@ -14,7 +14,7 @@ import faulhaber.bernoulli
 import faulhaber.integrality
 import faulhaber.powersum
 import faulhaber.primes
-from faulhaber import selftest
+from faulhaber import bench, selftest
 from faulhaber.bernoulli import BernoulliTable, _over_common_denominator, bernoulli_recursive
 from faulhaber.cli import approx_decimal, build_parser, format_rational, main
 from faulhaber.primes import vsc_primes
@@ -414,8 +414,8 @@ def test_option_strings_of_every_subcommand_are_pinned():
         "avg": sorted(common + ["--approx", "--route"]),
         "check": common,
         "table": common,
-        "selftest": sorted(common + ["--quick"]),
-        "bench": sorted(common + ["--budget-ms", "--kmax", "--nmax"]),
+        "selftest": common,
+        "bench": sorted(common + ["--budget-ms"]),
     }
 
 
@@ -426,13 +426,21 @@ def test_usage_error_exits_2():
 
 
 def test_selftest_quick(capsys):
-    code, out, _ = run_cli(capsys, "selftest", "--quick")
+    # the one selftest, every group at its full range, takes about a second
+    code, out, _ = run_cli(capsys, "selftest")
     assert code == 0
     assert "all 15 invariant groups passed" in out
 
 
+def test_selftest_has_no_quick_option(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["selftest", "--quick"])
+    assert exc.value.code == 2
+    assert capsys.readouterr().out == ""
+
+
 def test_selftest_json(capsys):
-    code, out, _ = run_cli(capsys, "selftest", "--quick", "--json")
+    code, out, _ = run_cli(capsys, "selftest", "--json")
     assert code == 0
     records = [json.loads(line) for line in out.splitlines()]
     summary = records[-1]
@@ -442,11 +450,11 @@ def test_selftest_json(capsys):
 def test_selftest_names_injected_fault(capsys, monkeypatch):
     # corrupt the series route; the route-equivalence group must call it out
     monkeypatch.setattr(faulhaber.bernoulli, "bernoulli_egf", corrupt_egf)
-    results = selftest.run_groups(quick=True)
+    results = selftest.run_groups()
     failed = [r.name for r in results if not r.passed]
     assert "route-equivalence" in failed
 
-    code, out, _ = run_cli(capsys, "selftest", "--quick")
+    code, out, _ = run_cli(capsys, "selftest")
     assert code == 3
     assert "route-equivalence" in out
 
@@ -472,6 +480,10 @@ def test_bern_verify_disagreement_exits_3(capsys, monkeypatch):
     assert code == 3
     assert out == ""
     assert "disagree" in err
+
+
+def no_decide(k, n):
+    raise AssertionError(f"decide({k}, {n}) ran before the arguments were checked")
 
 
 def test_bench_verdict_disagreement_exits_3(capsys, monkeypatch):
@@ -506,14 +518,6 @@ def test_bench_report(capsys):
     assert big[0]["est_ms"] > 1000 * 150
 
 
-@pytest.mark.parametrize("given,missing", [("--kmax", "--nmax"), ("--nmax", "--kmax")])
-def test_bench_extra_cell_needs_both_bounds(capsys, given, missing):
-    code, out, err = run_cli(capsys, "bench", given, "5")
-    assert code == 2
-    assert out == ""
-    assert f"{missing} is missing" in err
-
-
 @pytest.mark.parametrize(
     "argv",
     [
@@ -521,22 +525,26 @@ def test_bench_extra_cell_needs_both_bounds(capsys, given, missing):
         ["--budget-ms", "inf"],
         ["--budget-ms", "-5"],
         ["--budget-ms", "0"],
-        ["--kmax", "0", "--nmax", "5"],
-        ["--kmax", "5", "--nmax", "0"],
+        ["--budget-ms", "5001"],
     ],
-    ids=["budget-nan", "budget-inf", "budget-negative", "budget-zero", "k-zero", "n-zero"],
+    ids=["budget-nan", "budget-inf", "budget-negative", "budget-zero", "budget-past-default"],
 )
 def test_bench_bad_argument_exits_2_before_any_cell(capsys, monkeypatch, argv):
-    # a budget that is not finite and > 0 never expires, and the default
-    # cells run for seconds before a bad extra cell would be reached
-    calls = []
-    decide = faulhaber.integrality.decide
-    monkeypatch.setattr(faulhaber.integrality, "decide", lambda k, n: calls.append(k) or decide(k, n))
+    # a budget that is not finite and > 0 never expires, and one past the
+    # default lets the summations at the default cells run for hours
+    monkeypatch.setattr(faulhaber.integrality, "decide", no_decide)
     code, out, err = run_cli(capsys, "bench", *argv)
     assert code == 2
     assert out == ""
     assert err.startswith("error: ")
-    assert calls == []
+    assert "<= 5000 ms" in err  # the message names the bound
+
+
+@pytest.mark.parametrize("cell", [(0, 5), (5, 0)], ids=["k-zero", "n-zero"])
+def test_run_bench_bad_cell_raises_before_any_cell(monkeypatch, cell):
+    monkeypatch.setattr(faulhaber.integrality, "decide", no_decide)
+    with pytest.raises(ValueError, match="must be >= 1"):
+        bench.run_bench(cells=(cell,))
 
 
 def test_module_entry_point_runs(src_env):

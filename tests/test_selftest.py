@@ -2,6 +2,7 @@ import dataclasses
 import doctest
 import importlib
 import pkgutil
+from fractions import Fraction
 
 import pytest
 
@@ -10,13 +11,14 @@ from faulhaber import bernoulli, powersum, primes, selftest
 
 vsc_primes = primes.vsc_primes
 s_brute = powersum.s_brute
+s_recursive = powersum.s_recursive
 mu = powersum.mu
 bernoulli_recursive = bernoulli.bernoulli_recursive
 
 
 @pytest.mark.parametrize("check", [c for _, c in selftest.GROUPS], ids=[n for n, _ in selftest.GROUPS])
 def test_group_holds_at_full_range(check):
-    check(False)  # raises InvariantViolation naming the counterexample
+    check()  # raises InvariantViolation naming the counterexample
 
 
 def memo_off_by_x_to_the_k_plus_1(limit):
@@ -28,9 +30,10 @@ def memo_off_by_x_to_the_k_plus_1(limit):
 
 
 # One fault per property the prime filter, s_brute, the Bernoulli memo behind
-# s_faulhaber and mu must keep: the filter sorted, repeat-free, holding 3 and
-# monotone in k; s_brute summing every term, exactly; the closed form over the
-# memo summing exactly; mu's flag agreeing with the residue.
+# s_faulhaber, s_recursive and mu must keep: the filter sorted, repeat-free,
+# holding 3 and monotone in k; s_brute summing every term, exactly; the closed
+# form over the memo summing exactly; the recurrence's residue and mu's flag
+# agreeing with the rule.
 FAULTS = [
     pytest.param("vsc-divisors-vs-sieve", primes, "vsc_primes",
                  lambda k: vsc_primes(k)[::-1], id="unsorted"),
@@ -50,6 +53,10 @@ FAULTS = [
     pytest.param("theorem-vs-oracle", powersum, "mu",
                  lambda q: dataclasses.replace(mu(q), integral=mu(q).integral != ((q.k, q.n) == (4, 9))),
                  id="flipped-mu"),
+    # S_4(9) = 15333 is 6 mod 9; + 3 makes it 0, so the residue says integral
+    pytest.param("theorem-vs-oracle", powersum, "s_recursive",
+                 lambda kmax, n: [s + 3 * ((k, n) == (4, 9)) for k, s in enumerate(s_recursive(kmax, n), 1)],
+                 id="s_recursive-residue-at-(4,9)"),
 ]
 
 
@@ -57,7 +64,22 @@ FAULTS = [
 def test_group_catches_fault(monkeypatch, group, module, name, fault):
     monkeypatch.setattr(module, name, fault)
     with pytest.raises(selftest.InvariantViolation):
-        dict(selftest.GROUPS)[group](True)
+        dict(selftest.GROUPS)[group]()
+
+
+def test_a_route_inconsistency_fails_its_group_and_the_rest_still_run(monkeypatch):
+    # B_2 + 1/7 in the series table makes the closed form over it leave a
+    # remainder, and s_faulhaber raises InconsistencyError at k = 2, n = 1
+    def egf_with_bad_b2(limit):
+        values = list(bernoulli_recursive(limit).values)
+        values[2] += Fraction(1, 7)
+        return bernoulli.BernoulliTable(limit, *bernoulli._over_common_denominator(values), "egf")
+
+    monkeypatch.setattr(bernoulli, "bernoulli_egf", egf_with_bad_b2)
+    results = selftest.run_groups()
+    assert [r.name for r in results] == [name for name, _ in selftest.GROUPS]
+    failed = {r.name: r.detail for r in results if not r.passed}
+    assert "closed form gave a non-integer for PowerSumQuery(k=2, n=1)" in failed["three-route-agreement"]
 
 
 def package_modules():
