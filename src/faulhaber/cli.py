@@ -28,6 +28,10 @@ __all__ = ["main", "entry", "format_rational", "approx_decimal"]
 
 # s_brute adds n powers one by one; past this many terms it is refused, not run
 _BRUTE_TERM_BOUND = 10**6
+# each power j^k has about k (bit length of j) bits, so k n (bit length of n)
+# counts the bits s_brute builds; a cost per bit that grows with k (about 40 ns
+# near k = 10^6) puts the slowest call this estimate admits at about 1-2 s
+_BRUTE_WORK_BOUND = 4 * 10**7
 # s_recursive makes about k^2/2 big-int products of numbers that grow with k and
 # the bits of n + 1; past this estimate (about 1-2 s on one core) it is refused
 _RECURSIVE_WORK_BOUND = 10**10
@@ -37,6 +41,10 @@ _FAULHABER_K_BOUND = 2048
 # bern --verify also builds the series-division oracle, about 3 s at this k
 _VERIFY_K_BOUND = 512
 _APPROX_DIGITS = 12
+
+
+def _brute_work(k: int, n: int) -> int:
+    return k * n * n.bit_length()
 
 
 def _recursive_work(k: int, n: int) -> int:
@@ -49,8 +57,9 @@ def _recursive_work(k: int, n: int) -> int:
 _ROUTES = {
     "brute": (
         lambda q: powersum.s_brute(q),
-        lambda k, n: n <= _BRUTE_TERM_BOUND,
-        f"adds n terms one by one and is bounded at n <= {_BRUTE_TERM_BOUND}",
+        lambda k, n: n <= _BRUTE_TERM_BOUND and _brute_work(k, n) <= _BRUTE_WORK_BOUND,
+        f"adds n terms one by one and is bounded at n <= {_BRUTE_TERM_BOUND}"
+        f" and k n (bit length of n) <= {_BRUTE_WORK_BOUND}",
     ),
     "faulhaber": (
         lambda q: powersum.s_faulhaber(q),

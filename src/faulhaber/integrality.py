@@ -11,11 +11,12 @@ The decision never sums anything and never factors n:
 
 Every negative verdict carries a machine-checkable witness: the offending
 residue for the odd rules, or the set of primes dividing both n and D for
-the even rule.  That set is recovered by dividing the gcd by the primes of
-k in ascending order until it reaches 1, which is exact because D is
-square-free.  Verdicts are frozen and shared: the five fixed ones are
-constants, and each even-k "no" comes from a bounded cache keyed by its
-witness primes.
+the even rule.  Because D is square-free, that set is exactly the primes
+of g = gcd(n, D), whatever k was, so an even-k "no" is fixed by g alone.
+Verdicts are frozen and shared: the five fixed ones are constants, and
+each even-k "no" comes from a bounded cache keyed by its g.  Only a g not
+in the cache recovers the witness set, by dividing g by the primes of k
+in ascending order until it reaches 1.
 
 ``prime_block_sum`` and ``predict_residue`` expose the congruences the
 even rule rests on, so the theory behind the verdict can be checked
@@ -30,8 +31,8 @@ directly against modular summation:
 from __future__ import annotations
 
 import math
+import threading
 from dataclasses import dataclass
-from functools import lru_cache
 
 from . import bernoulli, powersum, primes
 
@@ -97,23 +98,23 @@ _ODD_YES = Verdict(integral=True, rule=RULE_ODD)
 _ODD_NO = Verdict(integral=False, rule=RULE_ODD, witness_residue=2)
 _EVEN_YES = Verdict(integral=True, rule=RULE_EVEN)
 
-# an even-k "no" is fixed by its witness primes, so each distinct witness
-# gets one shared verdict; a grid(200, 2000) meets about 500 of them
+# an even-k "no" is fixed by g = gcd(n, D), the product of its witness primes,
+# so each distinct g gets one shared verdict; a grid(200, 2000) meets about 500
+# of them.  A full cache is cleared before the next insert, and a g that
+# recurs is walked once more.  Lookups take no lock; inserts take one, so the
+# cache never holds more than the bound and equal g shares one verdict
 _EVEN_NO_CACHE_SIZE = 1024
-
-
-@lru_cache(maxsize=_EVEN_NO_CACHE_SIZE)
-def _even_no(witness: tuple[int, ...]) -> Verdict:
-    return Verdict(integral=False, rule=RULE_EVEN, witness_primes=witness)
+_even_no: dict[int, Verdict] = {}
+_even_no_lock = threading.Lock()
 
 
 def decide(k: int, n: int) -> Verdict:
     """Integrality of the average of the first n k-th powers, with witness.
 
     Cost after the per-k precomputation: one gcd, no factorization of n; a
-    "no" for even k adds a walk over the cached primes of k that stops once
-    the gcd is divided down to 1, and a lookup of the shared verdict for
-    the witness primes it found.
+    "no" for even k adds one lookup of the shared verdict keyed by that gcd.
+    Only a gcd not seen before walks the cached primes of k, stopping once
+    the gcd is divided down to 1, to find the witness primes.
     """
     if k < 1:
         raise ValueError(f"exponent k must be >= 1, got {k}")
@@ -126,16 +127,24 @@ def decide(k: int, n: int) -> Verdict:
     g = math.gcd(n, bernoulli.vsc_denominator(k))
     if g == 1:
         return _EVEN_YES
+    verdict = _even_no.get(g)
+    if verdict is not None:
+        return verdict
     # g divides the square-free modulus, so dividing out each prime of k that
-    # divides it recovers the witness set exactly, and g = 1 ends the walk
+    # divides it recovers the witness set exactly, and a rest of 1 ends the walk
     witness = []
+    rest = g
     for p in primes.vsc_primes(k):
-        if g % p == 0:
+        if rest % p == 0:
             witness.append(p)
-            g //= p
-            if g == 1:
+            rest //= p
+            if rest == 1:
                 break
-    return _even_no(tuple(witness))
+    verdict = Verdict(integral=False, rule=RULE_EVEN, witness_primes=tuple(witness))
+    with _even_no_lock:
+        if len(_even_no) >= _EVEN_NO_CACHE_SIZE:
+            _even_no.clear()
+        return _even_no.setdefault(g, verdict)
 
 
 def prime_block_sum(p: int, k: int) -> int:

@@ -208,6 +208,24 @@ def test_brute_route_past_its_term_bound_exits_2_before_any_work(capsys, monkeyp
 
 
 @pytest.mark.parametrize("command", ["sum", "avg"])
+@pytest.mark.parametrize("route", ["brute", "all"])
+def test_brute_route_past_its_work_bound_exits_2_before_any_work(capsys, monkeypatch, command, route):
+    # n = 10**6 is inside the term bound, but at k = 600 the powers hold
+    # about 1.2e10 bits, more than 15 s of summing, so none may start
+    def never(*args):
+        raise AssertionError("a summation route ran past the work bound")
+
+    for name in ("s_brute", "s_faulhaber", "s_recursive"):
+        monkeypatch.setattr(faulhaber.powersum, name, never)
+    code, out, err = run_cli(capsys, command, "600", str(10**6), "--route", route)
+    assert code == 2
+    assert out == ""
+    assert "bounded at n <= 1000000" in err
+    assert "k n (bit length of n) <= 40000000" in err
+    assert "--route faulhaber" in err
+
+
+@pytest.mark.parametrize("command", ["sum", "avg"])
 @pytest.mark.parametrize("route", ["recursive", "all"])
 def test_recursive_route_past_its_work_bound_exits_2_before_any_work(capsys, monkeypatch, command, route):
     # n = 1000 is inside the brute route's term bound; at k = 2000 the

@@ -1,5 +1,7 @@
 import dataclasses
 import math
+import sys
+import threading
 
 import pytest
 
@@ -116,6 +118,11 @@ def test_witness_primes_divide_both_n_and_denominator():
                 assert math.prod(v.witness_primes) == math.gcd(n, d)
 
 
+def walked_witness(k, n):
+    """The witness primes found by testing every prime of k against n."""
+    return tuple(p for p in primes.vsc_primes(k) if n % p == 0)
+
+
 def test_witness_walk_names_every_common_prime():
     # n = D_k shares every prime of k, so the walk runs to the end; 6 (D_k + 1)
     # shares only 2 and 3, and n = 2 or 3 one prime, so the walk stops early
@@ -126,7 +133,7 @@ def test_witness_walk_names_every_common_prime():
             assert not v.integral
             assert math.prod(v.witness_primes) == math.gcd(n, d)
             assert all(n % p == 0 for p in v.witness_primes)
-            assert v.witness_primes == tuple(p for p in primes.vsc_primes(k) if n % p == 0)
+            assert v.witness_primes == walked_witness(k, n)
 
 
 def test_even_k_no_verdicts_are_shared_per_witness():
@@ -146,10 +153,50 @@ def test_replace_leaves_a_shared_verdict_unchanged():
     assert decide(2, 6).witness_primes == (2, 3)
 
 
-def test_shared_no_verdict_cache_is_bounded():
-    maxsize = integrality._even_no.cache_info().maxsize
-    assert maxsize is not None
-    assert 0 < maxsize < float("inf")
+def test_shared_no_verdict_cache_is_bounded(monkeypatch):
+    # the first 11 primes of k = 720720 have 2047 nonempty products, each its
+    # own g, so the empty cache fills and is cleared along the way
+    monkeypatch.setattr(integrality, "_even_no", {})
+    bound = integrality._EVEN_NO_CACHE_SIZE
+    k = 720720
+    first = primes.vsc_primes(k)[:11]
+    assert 2 ** len(first) - 1 > bound
+    for mask in range(1, 2 ** len(first)):
+        n = math.prod(p for i, p in enumerate(first) if mask >> i & 1)
+        v = decide(k, n)
+        assert len(integrality._even_no) <= bound
+        assert not v.integral
+        assert v.witness_primes == walked_witness(k, n)
+        assert math.prod(v.witness_primes) == n
+    # g = 6 came third and was cleared out; it is walked again to the same verdict
+    assert 6 not in integrality._even_no
+    assert decide(k, 6) == Verdict(integral=False, rule=RULE_EVEN, witness_primes=(2, 3))
+
+
+def test_threads_sharing_a_small_verdict_cache_agree_with_one_thread(monkeypatch):
+    reference = grid(60, 400)
+    monkeypatch.setattr(integrality, "_EVEN_NO_CACHE_SIZE", 8)
+    monkeypatch.setattr(integrality, "_even_no", {})
+    results = [None] * 4
+    sizes = []
+
+    def work(i):
+        results[i] = integrality.grid(60, 400)
+        sizes.append(len(integrality._even_no))
+
+    saved = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=work, args=(i,)) for i in range(4)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(saved)
+    assert not any(t.is_alive() for t in threads)
+    assert results == [reference] * 4
+    assert sizes and max(sizes) <= 8
 
 
 def test_prime_block_sum_rejects_composite():
@@ -249,6 +296,53 @@ def check_decide_at_large_n():
 
 def test_decide_matches_the_closed_form_up_to_10_to_the_40():
     check_decide_at_large_n()
+
+
+def check_decide_is_periodic_in_n():
+    """``integrality.decide(k, n)`` against ``decide(k, n + 4 D_k t)`` with t
+    around 10^30 and even k <= 2000: both calls have the same g = gcd(n, D_k),
+    so a "no" must be the same shared object and name the primes of g.
+    About half the draws are made a multiple of a prime of D_k."""
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+
+    @st.composite
+    def k_n_t(draw):
+        k = 2 * draw(st.integers(min_value=1, max_value=1000))
+        n = draw(st.integers(min_value=1, max_value=10**40))
+        if draw(st.booleans()):
+            n *= draw(st.sampled_from(primes.vsc_primes(k)))
+        return k, n, draw(st.integers(min_value=10**29, max_value=10**31))
+
+    @hypothesis.settings(max_examples=200, derandomize=True, database=None, deadline=None)
+    @hypothesis.given(k_n_t())
+    def check(knt):
+        k, n, t = knt
+        d = vsc_denominator(k)
+        first = integrality.decide(k, n)
+        shifted = integrality.decide(k, n + 4 * d * t)
+        assert shifted == first, (k, n, t)
+        assert math.prod(first.witness_primes) == math.gcd(n, d), (k, n)
+        if not first.integral:
+            assert shifted is first, (k, n, t)
+
+    check()
+
+
+def test_decide_is_periodic_in_n_at_offsets_near_10_to_the_30():
+    check_decide_is_periodic_in_n()
+
+
+def test_periodicity_property_catches_a_verdict_cached_under_a_wrong_g(monkeypatch):
+    class MisKeyed(dict):
+        # a verdict stored under g + 2: g misses every time, and an odd g
+        # finds the verdict of g - 2 once that one is stored
+        def setdefault(self, g, verdict):
+            return super().setdefault(g + 2, verdict)
+
+    monkeypatch.setattr(integrality, "_even_no", MisKeyed())
+    with pytest.raises(AssertionError):
+        check_decide_is_periodic_in_n()
 
 
 def test_large_n_property_catches_a_flipped_witness(monkeypatch):
