@@ -17,7 +17,7 @@ Whenever two methods both finish a cell, their verdicts are cross-checked.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from . import integrality
 from .powersum import InconsistencyError, PowerSumQuery
@@ -35,8 +35,7 @@ DEFAULT_BUDGET_MS = 5000.0
 _CHUNK = 2048  # iterations between deadline checks
 
 
-@dataclass(frozen=True)
-class BenchCell:
+class BenchCell(NamedTuple):
     k: int
     n: int
     method: str  # "decide" | "s_mod" | "s_brute"

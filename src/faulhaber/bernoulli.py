@@ -31,7 +31,6 @@ from __future__ import annotations
 import math
 import threading
 from collections.abc import Sequence
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
@@ -46,7 +45,6 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True, eq=False)
 class BernoulliTable:
     """Immutable table of B_0..B_limit with the route that produced it.
 
@@ -57,10 +55,35 @@ class BernoulliTable:
     values, whatever their ``lcm``.
     """
 
+    __slots__ = ("limit", "lcm", "scaled", "route")
     limit: int
     lcm: int
     scaled: tuple[int, ...]
     route: str
+
+    def __init__(self, limit: int, lcm: int, scaled: tuple[int, ...], route: str) -> None:
+        # set once here, past the guard of ``__setattr__``
+        init = object.__setattr__
+        init(self, "limit", limit)
+        init(self, "lcm", lcm)
+        init(self, "scaled", scaled)
+        init(self, "route", route)
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __reduce__(self) -> tuple:
+        # pickle and copy rebuild through ``__init__``, not by setting slots
+        return BernoulliTable, (self.limit, self.lcm, self.scaled, self.route)
+
+    def __repr__(self) -> str:
+        return (
+            f"BernoulliTable(limit={self.limit!r}, lcm={self.lcm!r},"
+            f" scaled={self.scaled!r}, route={self.route!r})"
+        )
 
     def __getitem__(self, k: int) -> Fraction:
         if not 0 <= k <= self.limit:

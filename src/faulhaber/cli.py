@@ -40,6 +40,10 @@ _RECURSIVE_WORK_BOUND = 10**10
 _FAULHABER_K_BOUND = 2048
 # bern --verify also builds the series-division oracle, about 3 s at this k
 _VERIFY_K_BOUND = 512
+# sum and avg print S_k(n) < n^(k+1) in full, at most (k+1) log10(n) + 1 digits,
+# and CPython before 3.12 turns an int into decimal digits in quadratic time
+# (about 1.3 s for 2.6e5 digits on one core); past this many, every route is refused
+_OUTPUT_DIGIT_BOUND = 2 * 10**5
 _APPROX_DIGITS = 12
 
 
@@ -115,6 +119,13 @@ def approx_decimal(q: Fraction) -> str:
 
 
 def _sum_by_route(k: int, n: int, route: str) -> int:
+    q = PowerSumQuery(k=k, n=n)
+    # compared as int against float, so no k is too large to test
+    if n > 1 and k + 1 > _OUTPUT_DIGIT_BOUND / math.log10(n):
+        raise ValueError(
+            f"S_k(n) has about (k+1) log10(n) digits, and output is bounded at"
+            f" {_OUTPUT_DIGIT_BOUND} digits; no route's bound admits k={k}, n={n}"
+        )
     names = _ROUTES if route == "all" else (route,)
     for name in names:
         _, admits, bound_text = _ROUTES[name]
@@ -124,7 +135,6 @@ def _sum_by_route(k: int, n: int, route: str) -> int:
             raise ValueError(
                 f"the {name} route (in --route {route}) {bound_text}; {advice} k={k}, n={n}"
             )
-    q = PowerSumQuery(k=k, n=n)
     values = {name: _ROUTES[name][0](q) for name in names}
     if len(set(values.values())) != 1:
         raise InconsistencyError(f"routes disagree for k={k}, n={n}: {values}")

@@ -13,7 +13,7 @@ Every negative verdict carries a machine-checkable witness: the offending
 residue for the odd rules, or the set of primes dividing both n and D for
 the even rule.  Because D is square-free, that set is exactly the primes
 of g = gcd(n, D), whatever k was, so an even-k "no" is fixed by g alone.
-Verdicts are frozen and shared: the five fixed ones are constants, and
+Verdicts are immutable and shared: the five fixed ones are constants, and
 each even-k "no" comes from a bounded cache keyed by its g.  Only a g not
 in the cache recovers the witness set, by dividing g by the primes of k
 in ascending order until it reaches 1.
@@ -32,7 +32,7 @@ from __future__ import annotations
 
 import math
 import threading
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from . import bernoulli, powersum, primes
 
@@ -53,8 +53,7 @@ RULE_ODD = "odd-k"
 RULE_EVEN = "even-k"
 
 
-@dataclass(frozen=True)
-class Verdict:
+class Verdict(NamedTuple):
     """Integrality decision plus the obstruction that justifies a "no".
 
     ``witness_primes`` is nonempty exactly for even-k failures; for the
@@ -77,8 +76,7 @@ class Verdict:
         return "n even"
 
 
-@dataclass(frozen=True)
-class ResiduePrediction:
+class ResiduePrediction(NamedTuple):
     """Predicted S_k(n) mod p^a for a prime p with p^a exactly dividing n."""
 
     p: int

@@ -19,8 +19,8 @@ at k = 1, so k = 0 is rejected rather than silently extended, and n >= 1.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from . import bernoulli
 
@@ -40,22 +40,32 @@ class InconsistencyError(RuntimeError):
     """An internal cross-check failed; indicates a bug, never bad input."""
 
 
-@dataclass(frozen=True)
-class PowerSumQuery:
-    """Validated (k, n) pair for S_k(n); the single k,n sanity gate."""
-
+# the fields of PowerSumQuery, which adds the checks: a NamedTuple body may not
+# define __new__
+class _Query(NamedTuple):
     k: int
     n: int
 
-    def __post_init__(self) -> None:
-        if self.k < 1:
-            raise ValueError(f"exponent k must be >= 1, got {self.k}")
-        if self.n < 1:
-            raise ValueError(f"upper limit n must be >= 1, got {self.n}")
+
+class PowerSumQuery(_Query):
+    """Validated (k, n) pair for S_k(n); the single k,n sanity gate."""
+
+    __slots__ = ()
+
+    def __new__(cls, k: int, n: int) -> PowerSumQuery:
+        if k < 1:
+            raise ValueError(f"exponent k must be >= 1, got {k}")
+        if n < 1:
+            raise ValueError(f"upper limit n must be >= 1, got {n}")
+        return super().__new__(cls, k, n)
+
+    @classmethod
+    def _make(cls, iterable) -> PowerSumQuery:
+        # ``_replace`` builds through ``_make``, which would skip ``__new__``
+        return cls(*iterable)
 
 
-@dataclass(frozen=True)
-class Average:
+class Average(NamedTuple):
     """Exact value of S_k(n)/n together with its integrality flag."""
 
     value: Fraction

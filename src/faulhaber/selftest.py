@@ -29,8 +29,7 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, NamedTuple
 
 from . import bernoulli, integrality, powersum, primes
 from .powersum import PowerSumQuery
@@ -42,8 +41,7 @@ class InvariantViolation(Exception):
     """An invariant group failed; the message carries the counterexample."""
 
 
-@dataclass(frozen=True)
-class GroupResult:
+class GroupResult(NamedTuple):
     name: str
     passed: bool
     detail: str

@@ -1,5 +1,4 @@
 import argparse
-import dataclasses
 import json
 import os
 import re
@@ -261,6 +260,35 @@ def test_faulhaber_route_past_its_k_bound_exits_2_before_any_work(capsys, monkey
     assert "--route brute" in err
 
 
+@pytest.mark.parametrize("command", ["sum", "avg"])
+@pytest.mark.parametrize("route", ["brute", "faulhaber", "recursive", "all"])
+def test_output_past_its_digit_bound_exits_2_before_any_work(capsys, monkeypatch, command, route):
+    # k = 10**6 at n = 10 is inside the brute route's bounds, but the value has
+    # 10**6 digits, and printing them takes more than 30 s, so none may start
+    def never(*args):
+        raise AssertionError("a summation route ran past the output bound")
+
+    for name in ("s_brute", "s_faulhaber", "s_recursive"):
+        monkeypatch.setattr(faulhaber.powersum, name, never)
+    monkeypatch.setattr(faulhaber.bernoulli, "bernoulli_recursive", never)
+    code, out, err = run_cli(capsys, command, str(10**6), "10", "--route", route)
+    assert code == 2
+    assert out == ""
+    assert "bounded at 200000 digits" in err
+    advice = err.split(";")[-1]
+    assert "no route" in advice
+    assert "--route" not in advice
+
+
+def test_output_digit_bound_admits_up_to_200000_digits(capsys, monkeypatch):
+    # at n = 10 the estimate (k+1) log10(n) is k + 1 digits exactly
+    monkeypatch.setattr(faulhaber.powersum, "s_brute", lambda q: 0)
+    assert run_cli(capsys, "sum", "199999", "10", "--route", "brute")[0] == 0
+    assert run_cli(capsys, "sum", "200000", "10", "--route", "brute")[0] == 2
+    # a 1 is one digit at any k
+    assert run_cli(capsys, "sum", str(10**7), "1", "--route", "brute")[0] == 0
+
+
 def test_every_refusal_names_only_routes_the_bounds_admit(capsys, monkeypatch):
     # stub routes that agree at once: a call exits 0 exactly when no bound refuses it
     monkeypatch.setattr(faulhaber.powersum, "s_brute", lambda q: 0)
@@ -509,7 +537,7 @@ def test_bench_verdict_disagreement_exits_3(capsys, monkeypatch):
 
     def flipped(k, n):
         verdict = decide(k, n)
-        return dataclasses.replace(verdict, integral=not verdict.integral)
+        return verdict._replace(integral=not verdict.integral)
 
     monkeypatch.setattr(faulhaber.integrality, "decide", flipped)
     code, out, err = run_cli(capsys, "bench", "--budget-ms", "50")
@@ -574,6 +602,22 @@ def test_module_entry_point_runs(src_env):
     )
     assert proc.returncode == 0
     assert proc.stdout.strip() == "integral"
+
+
+def test_cli_import_loads_neither_dataclasses_nor_inspect(src_env):
+    # those two were more than half of the import; selftest and bench stay
+    # eager, because the benchmark reads their import times off this import.
+    # -S keeps whatever site-packages import at start-up out of the count
+    code = (
+        "import sys, faulhaber.cli; "
+        "print(*sorted(m for m in ('dataclasses', 'inspect', 'faulhaber.bench', 'faulhaber.selftest')"
+        " if m in sys.modules))"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-S", "-c", code], capture_output=True, text=True, env=src_env, timeout=120
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["faulhaber.bench", "faulhaber.selftest"]
 
 
 @pytest.mark.parametrize(

@@ -1,3 +1,4 @@
+import pickle
 import sys
 from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
@@ -5,7 +6,9 @@ from fractions import Fraction
 import pytest
 
 from faulhaber import bernoulli
+from faulhaber.bench import BenchCell
 from faulhaber.bernoulli import BernoulliTable, bernoulli_recursive
+from faulhaber.integrality import RULE_EVEN, ResiduePrediction, Verdict
 from faulhaber.powersum import (
     Average,
     InconsistencyError,
@@ -16,6 +19,7 @@ from faulhaber.powersum import (
     s_mod,
     s_recursive,
 )
+from faulhaber.selftest import GroupResult
 
 
 def test_brute_small_cases():
@@ -70,15 +74,40 @@ def test_query_validation_is_shared():
     with pytest.raises(ValueError):
         PowerSumQuery(k=2, n=0)
     with pytest.raises(ValueError):
+        PowerSumQuery(k=2, n=4)._replace(n=0)
+    with pytest.raises(ValueError):
         s_recursive(0, 5)
     with pytest.raises(ValueError):
         s_recursive(3, -1)
 
 
-def test_query_is_frozen():
-    q = PowerSumQuery(k=2, n=4)
+# each record with one of its fields
+RECORDS = [
+    pytest.param(PowerSumQuery(k=2, n=4), "k", id="PowerSumQuery"),
+    pytest.param(Average(value=Fraction(9, 2), integral=False), "value", id="Average"),
+    pytest.param(Verdict(integral=False, rule=RULE_EVEN, witness_primes=(2, 3)), "integral", id="Verdict"),
+    pytest.param(ResiduePrediction(p=3, a=1, predicted=1), "predicted", id="ResiduePrediction"),
+    pytest.param(BernoulliTable(4, 30, (30, -15, 5, 0, -1), "recursive"), "lcm", id="BernoulliTable"),
+    pytest.param(BenchCell(2, 100, "decide", "ok", 0.01, True, None), "status", id="BenchCell"),
+    pytest.param(GroupResult("odd-vanishing", True, "", 0.01), "passed", id="GroupResult"),
+]
+
+
+@pytest.mark.parametrize("record,field", RECORDS)
+def test_every_record_is_immutable(record, field):
+    before = getattr(record, field)
     with pytest.raises(AttributeError):
-        q.k = 3
+        setattr(record, field, 3)
+    with pytest.raises(AttributeError):
+        delattr(record, field)
+    assert getattr(record, field) == before
+
+
+@pytest.mark.parametrize("record,field", RECORDS)
+def test_every_record_survives_pickle(record, field):
+    copy = pickle.loads(pickle.dumps(record))
+    assert type(copy) is type(record)
+    assert copy == record
 
 
 def test_faulhaber_inconsistency_is_loud():
