@@ -26,55 +26,37 @@ from .powersum import InconsistencyError, PowerSumQuery
 
 __all__ = ["main", "entry", "format_rational", "approx_decimal"]
 
-# s_brute adds n powers one by one; past this many terms it is refused, not run
-_BRUTE_TERM_BOUND = 10**6
-# each power j^k has about k (bit length of j) bits, so k n (bit length of n)
-# counts the bits s_brute builds; a cost per bit that grows with k (about 40 ns
-# near k = 10^6) puts the slowest call this estimate admits at about 1-2 s
-_BRUTE_WORK_BOUND = 4 * 10**7
-# s_recursive makes about k^2/2 big-int products of numbers that grow with k and
-# the bits of n + 1; past this estimate (about 1-2 s on one core) it is refused
-_RECURSIVE_WORK_BOUND = 10**10
-# s_faulhaber and bern first build the Bernoulli table to B_k (cold, about
-# 1.2 s to B_2048 and 9.3 s to B_4096 on one core); past this k they are refused
-_FAULHABER_K_BOUND = 2048
 # bern --verify also builds the series-division oracle, about 3 s at this k
 _VERIFY_K_BOUND = 512
 # sum and avg print S_k(n) < n^(k+1) in full, at most (k+1) log10(n) + 1 digits,
 # and CPython before 3.12 turns an int into decimal digits in quadratic time
 # (about 1.3 s for 2.6e5 digits on one core); past this many, every route is refused
 _OUTPUT_DIGIT_BOUND = 2 * 10**5
+# table builds every verdict before its first line prints (about 2 s and 60 MB
+# for 200 x 20000 cells); past this many cells it is refused
+_TABLE_CELL_BOUND = 4 * 10**6
 _APPROX_DIGITS = 12
 
-
-def _brute_work(k: int, n: int) -> int:
-    return k * n * n.bit_length()
-
-
-def _recursive_work(k: int, n: int) -> int:
-    return k * k * (k + 1) * ((n + 1).bit_length() + 32)
-
-
 # each route: its function, looked up on ``powersum`` at call time so wrapped
-# or patched routes are seen; its bound as a test on (k, n); the refusal text
-# that names the bound
+# or patched routes are seen; its bound (kept in ``powersum``) as a test on
+# (k, n); the refusal text that names the bound
 _ROUTES = {
     "brute": (
         lambda q: powersum.s_brute(q),
-        lambda k, n: n <= _BRUTE_TERM_BOUND and _brute_work(k, n) <= _BRUTE_WORK_BOUND,
-        f"adds n terms one by one and is bounded at n <= {_BRUTE_TERM_BOUND}"
-        f" and k n (bit length of n) <= {_BRUTE_WORK_BOUND}",
+        lambda k, n: powersum._brute_terms(k, n) == n,
+        f"adds n terms one by one and is bounded at n <= {powersum._BRUTE_TERM_BOUND}"
+        f" and k n (bit length of n) <= {powersum._BRUTE_WORK_BOUND}",
     ),
     "faulhaber": (
         lambda q: powersum.s_faulhaber(q),
-        lambda k, n: k <= _FAULHABER_K_BOUND,
-        f"builds the Bernoulli table to B_k and is bounded at k <= {_FAULHABER_K_BOUND}",
+        lambda k, n: k <= powersum._FAULHABER_K_BOUND,
+        f"builds the Bernoulli table to B_k and is bounded at k <= {powersum._FAULHABER_K_BOUND}",
     ),
     "recursive": (
         lambda q: powersum.s_recursive(q.k, q.n)[-1],
-        lambda k, n: _recursive_work(k, n) <= _RECURSIVE_WORK_BOUND,
+        lambda k, n: powersum._recursive_work(k, n) <= powersum._RECURSIVE_WORK_BOUND,
         "is bounded at k^2 (k+1) (bit length of n+1, plus 32)"
-        f" <= {_RECURSIVE_WORK_BOUND}",
+        f" <= {powersum._RECURSIVE_WORK_BOUND}",
     ),
 }
 
@@ -144,8 +126,8 @@ def _sum_by_route(k: int, n: int, route: str) -> int:
 def _cmd_bern(args: argparse.Namespace) -> int:
     if args.k < 0:
         raise ValueError(f"index must be >= 0, got {args.k}")
-    if args.k > _FAULHABER_K_BOUND:
-        raise ValueError(f"bern is bounded at k <= {_FAULHABER_K_BOUND}; got k={args.k}")
+    if args.k > powersum._FAULHABER_K_BOUND:
+        raise ValueError(f"bern is bounded at k <= {powersum._FAULHABER_K_BOUND}; got k={args.k}")
     if args.verify and args.k > _VERIFY_K_BOUND:
         raise ValueError(f"bern --verify is bounded at k <= {_VERIFY_K_BOUND}; got k={args.k}")
     table = bernoulli.bernoulli_recursive(args.k)
@@ -232,6 +214,11 @@ def _cmd_check(args: argparse.Namespace) -> int:
 
 
 def _cmd_table(args: argparse.Namespace) -> int:
+    if min(args.kmax, args.nmax) >= 1 and args.kmax * args.nmax > _TABLE_CELL_BOUND:
+        raise ValueError(
+            f"table builds all kmax nmax verdicts before it prints and is bounded at"
+            f" kmax nmax <= {_TABLE_CELL_BOUND}; got kmax={args.kmax}, nmax={args.nmax}"
+        )
     rows = integrality.grid(args.kmax, args.nmax)
     if args.json:
         for k, row in enumerate(rows, start=1):
@@ -279,7 +266,7 @@ def _cmd_selftest(args: argparse.Namespace) -> int:
 
 
 def _cmd_bench(args: argparse.Namespace) -> int:
-    results = bench.run_bench(budget_ms=args.budget_ms)
+    results = bench.run_bench()
     for c in results:
         record = {
             "command": "bench",
@@ -297,7 +284,7 @@ def _cmd_bench(args: argparse.Namespace) -> int:
         else:
             human = (
                 f"k={c.k:<5} n={c.n:<11} {c.method:<8} "
-                f"infeasible within {args.budget_ms:.0f} ms (estimated {c.est_ms:.0f} ms)"
+                f"infeasible past its bound (estimated {c.est_ms:.0f} ms from a prefix)"
             )
         _emit(record, args.json, human)
     gap = bench.speedup_estimate(results)
@@ -363,7 +350,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(handler=_cmd_selftest)
 
     p = sub.add_parser("bench", parents=[common], help="decision rule vs summation timings")
-    p.add_argument("--budget-ms", type=float, default=bench.DEFAULT_BUDGET_MS)
     p.set_defaults(handler=_cmd_bench)
 
     return parser

@@ -14,6 +14,11 @@ library is about.
 
 Queries are validated once, in ``PowerSumQuery``: the theory here starts
 at k = 1, so k = 0 is rejected rather than silently extended, and n >= 1.
+
+Each route's cost bound lives here, next to the route, as a test on (k, n)
+read by the CLI (which refuses a call past it) and by ``bench`` (which
+times the longest prefix 1..n0 <= n that it admits).  The routes themselves
+take no bound.
 """
 
 from __future__ import annotations
@@ -70,6 +75,39 @@ class Average(NamedTuple):
 
     value: Fraction
     integral: bool
+
+
+# s_brute adds n powers one by one; past this many terms it is refused, not run
+_BRUTE_TERM_BOUND = 10**6
+# each power j^k has about k (bit length of j) bits, so k n (bit length of n)
+# counts the bits s_brute builds; a cost per bit that grows with k (about 40 ns
+# near k = 10^6) puts the slowest call this estimate admits at about 1-2 s
+_BRUTE_WORK_BOUND = 4 * 10**7
+# s_recursive makes about k^2/2 big-int products of numbers that grow with k and
+# the bits of n + 1; past this estimate (about 1-2 s on one core) it is refused
+_RECURSIVE_WORK_BOUND = 10**10
+# s_faulhaber and bern first build the Bernoulli table to B_k (cold, about
+# 1.2 s to B_2048 and 9.3 s to B_4096 on one core); past this k they are refused
+_FAULHABER_K_BOUND = 2048
+# s_mod's pow(j, k, m) makes about (bit length of k) products of m-sized numbers
+# per term; terms (bit length of k) (bit length of m) within this estimate, and
+# at most this many terms, took 0.1-1.2 s on one core from k = 2 to 2^1000
+_MOD_TERM_BOUND = 10**6
+_MOD_WORK_BOUND = 3 * 10**8
+
+
+def _brute_terms(k: int, n: int) -> int:
+    """The longest prefix 1..n0 <= n of S_k(n) that s_brute's bounds admit."""
+    return min(n, _BRUTE_TERM_BOUND, _BRUTE_WORK_BOUND // (k * n.bit_length()))
+
+
+def _mod_terms(k: int, n: int, m: int) -> int:
+    """The longest prefix 1..n0 <= n of S_k(n) mod m that s_mod's bounds admit."""
+    return min(n, _MOD_TERM_BOUND, _MOD_WORK_BOUND // (k.bit_length() * m.bit_length()))
+
+
+def _recursive_work(k: int, n: int) -> int:
+    return k * k * (k + 1) * ((n + 1).bit_length() + 32)
 
 
 def s_brute(q: PowerSumQuery) -> int:
@@ -148,7 +186,11 @@ def s_recursive(kmax: int, n: int) -> list[int]:
 
 
 def s_mod(q: PowerSumQuery, m: int) -> int:
-    """S_k(n) mod m by modular summation; never builds the exact sum."""
+    """S_k(n) mod m by modular summation; never builds the exact sum.
+
+    It takes no bound itself; ``_mod_terms`` gives the longest prefix that
+    the cost bound above admits.
+    """
     if m < 1:
         raise ValueError(f"modulus must be >= 1, got {m}")
     k = q.k

@@ -4,7 +4,8 @@ For even k, the primes p with (p-1) | k are exactly the primes in the
 denominator of the k-th Bernoulli number (von Staudt-Clausen), and they
 drive the fast integrality test.  Besides 2 they are the odd primes
 2m + 1 with m | k/2, so the filter factors k once, lists the candidates
-2m + 1 over the divisors m of k/2, and settles each one below 2^16 by
+2m + 1 over the divisors m of k/2 (refusing, before it lists them, a k
+with more than ``_CANDIDATE_BOUND``), and settles each one below 2^16 by
 lookup in a 64 KB table of least prime factors; larger candidates go to
 ``is_prime``.  Each k is filtered once per process: its result is cached
 as a tuple, and later calls for the same k return that tuple.  Factoring
@@ -41,10 +42,15 @@ _TABLE_SIZE = 1 << 16
 _TABLE_PRIMES_END = 1 << 8
 # trial division tries the primes below this first, read off the same table
 _TRIAL_PRIMES_END = 1 << 10
+# the filter holds one int per candidate (a divisor of k/2) at once, and at this
+# many the list alone takes about 0.3 s and 7 MB; past it the filter raises before
+# it builds the list.  No k below 10^12 has more than 6720
+_CANDIDATE_BOUND = 1 << 17
 
 
 class FactorizationError(Exception):
-    """Raised when a cofactor survives the trial-division budget unfactored."""
+    """Raised when a cofactor survives the trial-division budget unfactored,
+    or when k has more filter candidates than the filter's bound."""
 
 
 def _eratosthenes(limit: int) -> bytearray:
@@ -126,8 +132,10 @@ def vsc_primes(k: int) -> tuple[int, ...]:
     """All primes p with (p-1) | k, ascending, for even k >= 2.
 
     Always contains 2 and 3, and nothing above k + 1.  The first call for
-    each k runs the filter: one ``factorize(k)`` lists the odd candidates
-    2m + 1 with m | k/2, which are sorted once and settled from the
+    each k runs the filter: one ``factorize(k)`` gives the number of odd
+    candidates 2m + 1 with m | k/2, and past ``_CANDIDATE_BOUND`` of them
+    it raises ``FactorizationError`` before it lists any.  Otherwise it
+    lists them, and they are sorted once and settled from the
     largest down: each is looked up in the least-factor table below 2^16
     (prime where the entry is 0) and passed to ``is_prime`` from 2^16 on.
     So a candidate that ``is_prime`` cannot certify raises before the many
@@ -136,8 +144,17 @@ def vsc_primes(k: int) -> tuple[int, ...]:
     """
     if k < 2 or k % 2 != 0:
         raise ValueError(f"k must be a positive even integer, got {k}")
+    factors = factorize(k)
+    count = 1  # the divisors of k/2
+    for p, a in factors:
+        count *= a if p == 2 else a + 1
+    if count > _CANDIDATE_BOUND:
+        raise FactorizationError(
+            f"k={k} has {count} candidates 2m + 1 (m | k/2), and the prime filter"
+            f" is bounded at {_CANDIDATE_BOUND} candidates"
+        )
     candidates = [3]  # 2m + 1 over the divisors m of k/2: factorize(k) with one 2 taken out
-    for p, a in factorize(k):
+    for p, a in factors:
         step = candidates
         for _ in range(a - 1 if p == 2 else a):
             step = [(c - 1) * p + 1 for c in step]  # m -> m * p

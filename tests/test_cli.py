@@ -1,6 +1,9 @@
 import argparse
+import contextlib
+import io
 import json
 import os
+import pathlib
 import re
 import subprocess
 import sys
@@ -381,6 +384,19 @@ def test_check_k_past_the_factor_bound_exits_2(capsys):
     assert "trial-division bound" in err
 
 
+def test_check_past_the_candidate_bound_exits_2_before_any_candidate(capsys, monkeypatch):
+    # k/2 is the product of the 25 primes up to 97, so it has 2^25 divisors:
+    # listing a candidate 2m + 1 for each would take gigabytes
+    def never(n):
+        raise AssertionError("a candidate was settled past the candidate bound")
+
+    monkeypatch.setattr(faulhaber.primes, "is_prime", never)
+    code, out, err = run_cli(capsys, "check", "4611135927891036849506204294663512140", "6")
+    assert code == 2
+    assert out == ""
+    assert "bounded at 131072 candidates" in err
+
+
 def test_check_json_record(capsys):
     code, out, _ = run_cli(capsys, "check", "2", "6", "--json")
     assert code == 1
@@ -408,6 +424,31 @@ def test_table_rows(capsys):
     k2 = [line for line in out.splitlines() if line.strip().startswith("2")]
     assert "✓ ✗ ✗" in k2[0]
     assert "6" in k2[0]  # denominator column for even k
+
+
+class GridRan(Exception):
+    pass
+
+
+def ran_grid(kmax, nmax):
+    raise GridRan(kmax, nmax)
+
+
+@pytest.mark.parametrize("argv", [["4000001", "1"], ["200", "20001"], ["1", "10000000000"]])
+def test_table_past_its_cell_bound_exits_2_before_any_verdict(capsys, monkeypatch, argv):
+    monkeypatch.setattr(faulhaber.integrality, "grid", ran_grid)
+    code, out, err = run_cli(capsys, "table", *argv)
+    assert code == 2
+    assert out == ""
+    assert "bounded at kmax nmax <= 4000000" in err
+
+
+@pytest.mark.parametrize("argv", [["200", "20000"], ["1", "4000000"], ["0", "10000000000"]])
+def test_table_cell_bound_admits_up_to_4000000_cells(capsys, monkeypatch, argv):
+    # a kmax or nmax below 1 is left to grid's own check
+    monkeypatch.setattr(faulhaber.integrality, "grid", ran_grid)
+    with pytest.raises(GridRan):
+        main(["table", *argv])
 
 
 def test_table_flag_form(capsys):
@@ -461,7 +502,7 @@ def test_option_strings_of_every_subcommand_are_pinned():
         "check": common,
         "table": common,
         "selftest": common,
-        "bench": sorted(common + ["--budget-ms"]),
+        "bench": common,
     }
 
 
@@ -540,50 +581,94 @@ def test_bench_verdict_disagreement_exits_3(capsys, monkeypatch):
         return verdict._replace(integral=not verdict.integral)
 
     monkeypatch.setattr(faulhaber.integrality, "decide", flipped)
-    code, out, err = run_cli(capsys, "bench", "--budget-ms", "50")
+    code, out, err = run_cli(capsys, "bench")
     assert code == 3
     assert out == ""
     assert "contradicts" in err
 
 
-def test_bench_report(capsys):
-    code, out, _ = run_cli(capsys, "bench", "--budget-ms", "150", "--json")
-    assert code == 0
-    records = [json.loads(line) for line in out.splitlines()]
-    summary = records[-1]
+def test_bench_runs_the_library_summation(capsys, monkeypatch):
+    s_mod = faulhaber.powersum.s_mod
+
+    def flipped(q, m):
+        return 0 if s_mod(q, m) else 1
+
+    monkeypatch.setattr(faulhaber.powersum, "s_mod", flipped)
+    code, out, err = run_cli(capsys, "bench")
+    assert code == 3
+    assert out == ""
+    assert "contradicts" in err
+
+
+def test_bench_runs_s_mod_only_on_the_terms_its_bound_admits(monkeypatch):
+    calls = []
+    s_mod = faulhaber.powersum.s_mod
+
+    def recording(q, m):
+        calls.append((q.k, q.n, m))
+        # a prefix's residue is never read, so it is not computed
+        return s_mod(q, m) if q.n == m else 0
+
+    monkeypatch.setattr(faulhaber.powersum, "s_mod", recording)
+    bench.run_bench()
+    assert [(k, m) for k, _, m in calls] == list(bench.DEFAULT_CELLS)
+    for k, terms, m in calls:
+        assert terms <= 10**6 and terms * k.bit_length() * m.bit_length() <= 3 * 10**8
+    assert calls[-1][1] == 10**6  # of the 10^9 terms at k = 1000
+
+
+@pytest.fixture(scope="module")
+def bench_report():
+    # one default run (about 1.5 s) serves every test that reads the report
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        assert main(["bench", "--json"]) == 0
+    return [json.loads(line) for line in out.getvalue().splitlines()]
+
+
+def test_bench_report(bench_report):
+    summary = bench_report[-1]
     assert summary["command"] == "bench-summary"
     assert summary["speedup"] > 1000
 
-    cells = records[:-1]
+    cells = bench_report[:-1]
+    assert [list(r) for r in cells] == [
+        ["command", "k", "n", "method", "status", "ms", "integral", "est_ms"]
+    ] * len(cells)
     assert {r["method"] for r in cells} == {"decide", "s_mod", "s_brute"}
     decide_cells = [r for r in cells if r["method"] == "decide"]
     assert all(r["status"] == "ok" for r in decide_cells)
 
     big = [r for r in cells if r["n"] == "1000000000" and r["method"] == "s_mod"]
     assert big[0]["status"] == "infeasible"
-    assert big[0]["est_ms"] > 1000 * 150
+    assert big[0]["integral"] is None
+    assert big[0]["est_ms"] >= 999 * big[0]["ms"]  # 10^6 of the 10^9 terms, extrapolated
 
 
-@pytest.mark.parametrize(
-    "argv",
-    [
-        ["--budget-ms", "nan"],
-        ["--budget-ms", "inf"],
-        ["--budget-ms", "-5"],
-        ["--budget-ms", "0"],
-        ["--budget-ms", "5001"],
-    ],
-    ids=["budget-nan", "budget-inf", "budget-negative", "budget-zero", "budget-past-default"],
-)
-def test_bench_bad_argument_exits_2_before_any_cell(capsys, monkeypatch, argv):
-    # a budget that is not finite and > 0 never expires, and one past the
-    # default lets the summations at the default cells run for hours
-    monkeypatch.setattr(faulhaber.integrality, "decide", no_decide)
-    code, out, err = run_cli(capsys, "bench", *argv)
-    assert code == 2
-    assert out == ""
-    assert err.startswith("error: ")
-    assert "<= 5000 ms" in err  # the message names the bound
+def test_bench_calls_infeasible_exactly_the_brute_calls_the_cli_refuses(capsys, bench_report):
+    cells = [r for r in bench_report[:-1] if r["method"] == "s_brute"]
+    assert len(cells) == len(bench.DEFAULT_CELLS)
+    for r in cells:
+        code, _, err = run_cli(capsys, "sum", r["k"], r["n"], "--route", "brute")
+        assert (r["status"] == "infeasible") == (code == 2), (r, err)
+    assert {r["status"] for r in cells} == {"ok", "infeasible"}
+
+
+def test_bench_has_no_budget_option(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["bench", "--budget-ms", "500"])
+    assert exc.value.code == 2
+    assert capsys.readouterr().out == ""
+
+
+def test_readme_cli_block_names_only_existing_options():
+    readme = (pathlib.Path(__file__).resolve().parent.parent / "README.md").read_text(encoding="utf-8")
+    block = readme.split("## CLI", 1)[1].split("```sh", 1)[1].split("```", 1)[0]
+    parser = build_parser()
+    sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    known = {s for p in sub.choices.values() for action in p._actions for s in action.option_strings}
+    named = set(re.findall(r"--[a-z][a-z-]*", block))
+    assert named and named <= known, named - known
 
 
 @pytest.mark.parametrize("cell", [(0, 5), (5, 0)], ids=["k-zero", "n-zero"])

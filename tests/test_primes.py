@@ -179,6 +179,23 @@ def test_vsc_primes_raises_before_spending_the_small_candidates(monkeypatch):
     assert calls
 
 
+def test_vsc_primes_candidate_bound_admits_up_to_2_to_the_17(monkeypatch):
+    # k/2 = the product of the 17 primes up to 59 has 2^17 divisors, one
+    # candidate each; one more prime factor doubles that past the bound
+    class Settled(Exception):
+        pass
+
+    def settled(n):
+        raise Settled
+
+    monkeypatch.setattr(faulhaber.primes, "is_prime", settled)
+    k = 2 * math.prod(sieve(59))
+    with pytest.raises(Settled):
+        vsc_primes(k)
+    with pytest.raises(FactorizationError, match="262144 candidates .* bounded at 131072 candidates"):
+        vsc_primes(61 * k)
+
+
 def test_vsc_primes_rejects_odd_or_nonpositive():
     for k in (3, 1, 0, -2):
         with pytest.raises(ValueError):
