@@ -37,29 +37,6 @@ _OUTPUT_DIGIT_BOUND = 2 * 10**5
 _TABLE_CELL_BOUND = 4 * 10**6
 _APPROX_DIGITS = 12
 
-# each route: its function, looked up on ``powersum`` at call time so wrapped
-# or patched routes are seen; its bound (kept in ``powersum``) as a test on
-# (k, n); the refusal text that names the bound
-_ROUTES = {
-    "brute": (
-        lambda q: powersum.s_brute(q),
-        lambda k, n: powersum._brute_terms(k, n) == n,
-        f"adds n terms one by one and is bounded at n <= {powersum._BRUTE_TERM_BOUND}"
-        f" and k n (bit length of n) <= {powersum._BRUTE_WORK_BOUND}",
-    ),
-    "faulhaber": (
-        lambda q: powersum.s_faulhaber(q),
-        lambda k, n: k <= powersum._FAULHABER_K_BOUND,
-        f"builds the Bernoulli table to B_k and is bounded at k <= {powersum._FAULHABER_K_BOUND}",
-    ),
-    "recursive": (
-        lambda q: powersum.s_recursive(q.k, q.n)[-1],
-        lambda k, n: powersum._recursive_work(k, n) <= powersum._RECURSIVE_WORK_BOUND,
-        "is bounded at k^2 (k+1) (bit length of n+1, plus 32)"
-        f" <= {powersum._RECURSIVE_WORK_BOUND}",
-    ),
-}
-
 
 def _emit(record: dict, as_json: bool, human: str) -> None:
     if as_json:
@@ -84,20 +61,22 @@ def format_rational(q: Fraction) -> str:
 def approx_decimal(q: Fraction) -> str:
     """Decimal approximation as a string; only ever *appended* to exact output.
 
-    It keeps 12 significant digits, rounded in ``decimal`` past the float range.
+    It keeps 12 significant digits, rounded in ``decimal`` past the normal
+    float range, where a float would overflow, lose digits or round to 0.
 
     >>> approx_decimal(Fraction(-1, 30))
     '-0.0333333333333'
     >>> approx_decimal(Fraction(-7 * 10**500))
     '-7e+500'
+    >>> approx_decimal(Fraction(1, 10**400))
+    '1e-400'
     """
-    try:
+    if not q or sys.float_info.min <= abs(q) <= sys.float_info.max:
         return format(q.numerator / q.denominator, f".{_APPROX_DIGITS}g")
-    except OverflowError:
-        with localcontext() as ctx:
-            ctx.prec = _APPROX_DIGITS
-            value = Decimal(q.numerator) / q.denominator
-            return format(value.normalize(), "g")
+    with localcontext() as ctx:
+        ctx.prec = _APPROX_DIGITS
+        value = Decimal(q.numerator) / q.denominator
+        return format(value.normalize(), "g")
 
 
 def _sum_by_route(k: int, n: int, route: str) -> int:
@@ -108,19 +87,7 @@ def _sum_by_route(k: int, n: int, route: str) -> int:
             f"S_k(n) has about (k+1) log10(n) digits, and output is bounded at"
             f" {_OUTPUT_DIGIT_BOUND} digits; no route's bound admits k={k}, n={n}"
         )
-    names = _ROUTES if route == "all" else (route,)
-    for name in names:
-        _, admits, bound_text = _ROUTES[name]
-        if not admits(k, n):
-            others = [f"--route {r}" for r, (_, ok, _) in _ROUTES.items() if ok(k, n)]
-            advice = f"use {' or '.join(others)} for" if others else "no route's bound admits"
-            raise ValueError(
-                f"the {name} route (in --route {route}) {bound_text}; {advice} k={k}, n={n}"
-            )
-    values = {name: _ROUTES[name][0](q) for name in names}
-    if len(set(values.values())) != 1:
-        raise InconsistencyError(f"routes disagree for k={k}, n={n}: {values}")
-    return next(iter(values.values()))
+    return powersum.s_route(q, route)
 
 
 def _cmd_bern(args: argparse.Namespace) -> int:
@@ -220,19 +187,18 @@ def _cmd_table(args: argparse.Namespace) -> int:
             f" kmax nmax <= {_TABLE_CELL_BOUND}; got kmax={args.kmax}, nmax={args.nmax}"
         )
     rows = integrality.grid(args.kmax, args.nmax)
-    if args.json:
-        for k, row in enumerate(rows, start=1):
-            den = str(bernoulli.vsc_denominator(k)) if k >= 2 and k % 2 == 0 else None
+    if not args.json:
+        print(f"  k  denominator  integral for n = 1..{args.nmax}")
+    for k, row in enumerate(rows, start=1):
+        den = str(bernoulli.vsc_denominator(k)) if k >= 2 and k % 2 == 0 else None
+        if args.json:
             for n, verdict in enumerate(row, start=1):
                 record = _verdict_record("table", k, n, verdict)
                 record["denominator"] = den
                 print(json.dumps(record))
-        return 0
-    print(f"  k  denominator  integral for n = 1..{args.nmax}")
-    for k, row in enumerate(rows, start=1):
-        den = str(bernoulli.vsc_denominator(k)) if k >= 2 and k % 2 == 0 else "-"
-        cells = " ".join("✓" if v.integral else "✗" for v in row)
-        print(f"{k:>3}  {den:>11}  {cells}")
+        else:
+            cells = " ".join("✓" if v.integral else "✗" for v in row)
+            print(f"{k:>3}  {den or '-':>11}  {cells}")
     return 0
 
 
@@ -323,7 +289,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("n", type=int)
     p.add_argument(
         "--route",
-        choices=(*_ROUTES, "all"),
+        choices=(*powersum.ROUTES, "all"),
         default="faulhaber",
         help="evaluation route; 'all' cross-checks every route",
     )
@@ -332,7 +298,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("avg", parents=[common], help="average of the first n k-th powers")
     p.add_argument("k", type=int)
     p.add_argument("n", type=int)
-    p.add_argument("--route", choices=(*_ROUTES, "all"), default="faulhaber")
+    p.add_argument("--route", choices=(*powersum.ROUTES, "all"), default="faulhaber")
     p.add_argument("--approx", action="store_true", help="append a decimal approximation")
     p.set_defaults(handler=_cmd_avg)
 

@@ -8,15 +8,16 @@
                       (n+1)^{k+1} = (n+1) + sum_{j=1}^{k} C(k+1, j) S_j(n),
                       solved bottom-up with exact divisions.
 
-``s_mod`` computes S_k(n) mod m without ever building the exact sum, and
-``mu`` forms the average S_k(n)/n whose integrality the rest of the
-library is about.
+``s_route`` runs one route, or all three cross-checked, after testing
+each requested route's cost bound.  ``s_mod`` computes S_k(n) mod m
+without ever building the exact sum, and ``mu`` forms the average
+S_k(n)/n whose integrality the rest of the library is about.
 
 Queries are validated once, in ``PowerSumQuery``: the theory here starts
 at k = 1, so k = 0 is rejected rather than silently extended, and n >= 1.
 
 Each route's cost bound lives here, next to the route, as a test on (k, n)
-read by the CLI (which refuses a call past it) and by ``bench`` (which
+read by ``s_route`` (which refuses a call past it) and by ``bench`` (which
 times the longest prefix 1..n0 <= n that it admits).  The routes themselves
 take no bound.
 """
@@ -36,6 +37,8 @@ __all__ = [
     "s_brute",
     "s_faulhaber",
     "s_recursive",
+    "ROUTES",
+    "s_route",
     "s_mod",
     "mu",
 ]
@@ -104,10 +107,6 @@ def _brute_terms(k: int, n: int) -> int:
 def _mod_terms(k: int, n: int, m: int) -> int:
     """The longest prefix 1..n0 <= n of S_k(n) mod m that s_mod's bounds admit."""
     return min(n, _MOD_TERM_BOUND, _MOD_WORK_BOUND // (k.bit_length() * m.bit_length()))
-
-
-def _recursive_work(k: int, n: int) -> int:
-    return k * k * (k + 1) * ((n + 1).bit_length() + 32)
 
 
 def s_brute(q: PowerSumQuery) -> int:
@@ -183,6 +182,52 @@ def s_recursive(kmax: int, n: int) -> list[int]:
             raise InconsistencyError(f"recurrence left remainder {rem} at k={k}, n={n}")
         sums.append(s)
     return sums
+
+
+ROUTES = ("brute", "faulhaber", "recursive")
+
+
+def _refusal(route: str, k: int, n: int) -> str:
+    """The text of the bound that refuses S_k(n) by this route, or "" if it admits."""
+    if route == "brute" and _brute_terms(k, n) < n:
+        return (
+            f"adds n terms one by one and is bounded at n <= {_BRUTE_TERM_BOUND}"
+            f" and k n (bit length of n) <= {_BRUTE_WORK_BOUND}"
+        )
+    if route == "faulhaber" and k > _FAULHABER_K_BOUND:
+        return f"builds the Bernoulli table to B_k and is bounded at k <= {_FAULHABER_K_BOUND}"
+    recursive_work = k * k * (k + 1) * ((n + 1).bit_length() + 32)
+    if route == "recursive" and recursive_work > _RECURSIVE_WORK_BOUND:
+        return f"is bounded at k^2 (k+1) (bit length of n+1, plus 32) <= {_RECURSIVE_WORK_BOUND}"
+    return ""
+
+
+def s_route(q: PowerSumQuery, route: str = "faulhaber") -> int:
+    """S_k(n) by one of ``ROUTES``, or by all three cross-checked with "all".
+
+    Every requested route's bound is tested before any route runs, and a
+    refusal names the routes whose bounds admit (k, n).  The routes are
+    looked up as module globals at call time, so a patched or wrapped route
+    is the one that runs.
+
+    >>> s_route(PowerSumQuery(k=2, n=4), "all")
+    30
+    """
+    if route not in (*ROUTES, "all"):
+        raise ValueError(f"route must be one of {', '.join(ROUTES)} or all, got {route!r}")
+    k, n = q
+    names = ROUTES if route == "all" else (route,)
+    for r in names:
+        bound = _refusal(r, k, n)
+        if bound:
+            others = " or ".join(f"--route {o}" for o in ROUTES if not _refusal(o, k, n))
+            advice = f"use {others} for" if others else "no route's bound admits"
+            raise ValueError(f"the {r} route (in --route {route}) {bound}; {advice} k={k}, n={n}")
+    run = {"brute": s_brute, "faulhaber": s_faulhaber, "recursive": lambda q: s_recursive(*q)[-1]}
+    values = {r: run[r](q) for r in names}
+    if len(set(values.values())) != 1:
+        raise InconsistencyError(f"routes disagree for k={k}, n={n}: {values}")
+    return values[names[0]]
 
 
 def s_mod(q: PowerSumQuery, m: int) -> int:

@@ -7,7 +7,7 @@ import pathlib
 import re
 import subprocess
 import sys
-from decimal import Decimal
+from decimal import Decimal, localcontext
 from fractions import Fraction
 
 import pytest
@@ -45,6 +45,21 @@ def test_approx_decimal_is_a_string():
     s = approx_decimal(Fraction(-1, 30))
     assert isinstance(s, str)
     assert s.startswith("-0.033")
+
+
+@pytest.mark.parametrize(
+    "q,expected",
+    [
+        (Fraction(1, 10**400), "1e-400"),  # a float rounds it to 0
+        (Fraction(-3, 7 * 10**330), "-4.28571428571e-331"),  # to -0
+        (Fraction(1, 3 * 10**320), "3.33333333333e-321"),  # to 3.33494310943e-321
+    ],
+)
+def test_approx_decimal_below_the_normal_float_range(q, expected):
+    with localcontext() as ctx:
+        ctx.prec = 12
+        assert format((Decimal(q.numerator) / q.denominator).normalize(), "g") == expected
+    assert approx_decimal(q) == expected
 
 
 def test_bern_known_values(capsys):
@@ -193,94 +208,69 @@ def test_main_restores_the_int_digit_limit(capsys):
         sys.set_int_max_str_digits(before)
 
 
-@pytest.mark.parametrize("command", ["sum", "avg"])
-@pytest.mark.parametrize("route", ["brute", "all"])
-def test_brute_route_past_its_term_bound_exits_2_before_any_work(capsys, monkeypatch, command, route):
-    # any summation reached would be 10**30 terms of work; none may start
-    def never(*args):
-        raise AssertionError("a summation route ran past the term bound")
+def refused_before_any_work(k, n, routes, *needles, advice):
+    """A test that ``sum``/``avg`` k n ``--route`` r exits 2 for each r in
+    ``routes`` before any summation or Bernoulli table starts.  The error
+    holds every needle, and its advice (past the last ";") names
+    ``--route <advice>``, or, with advice None, says no route admits k, n."""
 
-    for name in ("s_brute", "s_faulhaber", "s_recursive"):
-        monkeypatch.setattr(faulhaber.powersum, name, never)
-    code, out, err = run_cli(capsys, command, "2", str(10**30), "--route", route)
-    assert code == 2
-    assert out == ""
-    assert "bounded at n <= 1000000" in err
-    assert "--route faulhaber" in err
+    @pytest.mark.parametrize("command", ["sum", "avg"])
+    @pytest.mark.parametrize("route", routes)
+    def test(capsys, monkeypatch, command, route):
+        def never(*args):
+            raise AssertionError(f"a summation route ran past its bound at k={k}, n={n}")
 
+        for name in ("s_brute", "s_faulhaber", "s_recursive"):
+            monkeypatch.setattr(faulhaber.powersum, name, never)
+        monkeypatch.setattr(faulhaber.bernoulli, "bernoulli_recursive", never)
+        code, out, err = run_cli(capsys, command, str(k), str(n), "--route", route)
+        assert code == 2
+        assert out == ""
+        for needle in needles:
+            assert needle in err
+        tail = err.split(";")[-1]
+        if advice is None:
+            assert "no route" in tail
+            assert "--route" not in tail
+        else:
+            assert f"--route {advice}" in tail
 
-@pytest.mark.parametrize("command", ["sum", "avg"])
-@pytest.mark.parametrize("route", ["brute", "all"])
-def test_brute_route_past_its_work_bound_exits_2_before_any_work(capsys, monkeypatch, command, route):
-    # n = 10**6 is inside the term bound, but at k = 600 the powers hold
-    # about 1.2e10 bits, more than 15 s of summing, so none may start
-    def never(*args):
-        raise AssertionError("a summation route ran past the work bound")
-
-    for name in ("s_brute", "s_faulhaber", "s_recursive"):
-        monkeypatch.setattr(faulhaber.powersum, name, never)
-    code, out, err = run_cli(capsys, command, "600", str(10**6), "--route", route)
-    assert code == 2
-    assert out == ""
-    assert "bounded at n <= 1000000" in err
-    assert "k n (bit length of n) <= 40000000" in err
-    assert "--route faulhaber" in err
+    return test
 
 
-@pytest.mark.parametrize("command", ["sum", "avg"])
-@pytest.mark.parametrize("route", ["recursive", "all"])
-def test_recursive_route_past_its_work_bound_exits_2_before_any_work(capsys, monkeypatch, command, route):
-    # n = 1000 is inside the brute route's term bound; at k = 2000 the
-    # recursion alone would run for minutes, so none may start
-    def never(*args):
-        raise AssertionError("a summation route ran past the work bound")
-
-    for name in ("s_brute", "s_faulhaber", "s_recursive"):
-        monkeypatch.setattr(faulhaber.powersum, name, never)
-    code, out, err = run_cli(capsys, command, "2000", "1000", "--route", route)
-    assert code == 2
-    assert out == ""
-    assert "bounded at" in err
-    assert "10000000000" in err
-    assert "--route faulhaber" in err
-
-
-@pytest.mark.parametrize("command", ["sum", "avg"])
-@pytest.mark.parametrize("route", ["faulhaber", "all"])
-def test_faulhaber_route_past_its_k_bound_exits_2_before_any_work(capsys, monkeypatch, command, route):
-    # n = 2 is two terms by the brute route; at k = 8192 the Bernoulli table
-    # alone would take minutes to build, so none may start
-    def never(*args):
-        raise AssertionError("a summation route ran past the k bound")
-
-    for name in ("s_brute", "s_faulhaber", "s_recursive"):
-        monkeypatch.setattr(faulhaber.powersum, name, never)
-    monkeypatch.setattr(faulhaber.bernoulli, "bernoulli_recursive", never)
-    code, out, err = run_cli(capsys, command, "8192", "2", "--route", route)
-    assert code == 2
-    assert out == ""
-    assert "bounded at k <= 2048" in err
-    assert "--route brute" in err
-
-
-@pytest.mark.parametrize("command", ["sum", "avg"])
-@pytest.mark.parametrize("route", ["brute", "faulhaber", "recursive", "all"])
-def test_output_past_its_digit_bound_exits_2_before_any_work(capsys, monkeypatch, command, route):
-    # k = 10**6 at n = 10 is inside the brute route's bounds, but the value has
-    # 10**6 digits, and printing them takes more than 30 s, so none may start
-    def never(*args):
-        raise AssertionError("a summation route ran past the output bound")
-
-    for name in ("s_brute", "s_faulhaber", "s_recursive"):
-        monkeypatch.setattr(faulhaber.powersum, name, never)
-    monkeypatch.setattr(faulhaber.bernoulli, "bernoulli_recursive", never)
-    code, out, err = run_cli(capsys, command, str(10**6), "10", "--route", route)
-    assert code == 2
-    assert out == ""
-    assert "bounded at 200000 digits" in err
-    advice = err.split(";")[-1]
-    assert "no route" in advice
-    assert "--route" not in advice
+# any summation reached would be 10**30 terms of work
+test_brute_route_past_its_term_bound_exits_2_before_any_work = refused_before_any_work(
+    2, 10**30, ["brute", "all"], "bounded at n <= 1000000", advice="faulhaber"
+)
+# n = 10**6 is inside the term bound, but at k = 600 the powers hold about
+# 1.2e10 bits, more than 15 s of summing
+test_brute_route_past_its_work_bound_exits_2_before_any_work = refused_before_any_work(
+    600,
+    10**6,
+    ["brute", "all"],
+    "bounded at n <= 1000000",
+    "k n (bit length of n) <= 40000000",
+    advice="faulhaber",
+)
+# n = 1000 is inside the brute route's term bound; at k = 2000 the recursion
+# alone would run for minutes
+test_recursive_route_past_its_work_bound_exits_2_before_any_work = refused_before_any_work(
+    2000, 1000, ["recursive", "all"], "bounded at", "10000000000", advice="faulhaber"
+)
+# n = 2 is two terms by the brute route; at k = 8192 the Bernoulli table alone
+# would take minutes to build
+test_faulhaber_route_past_its_k_bound_exits_2_before_any_work = refused_before_any_work(
+    8192, 2, ["faulhaber", "all"], "bounded at k <= 2048", advice="brute"
+)
+# k = 10**6 at n = 10 is inside the brute route's bounds, but the value has
+# 10**6 digits, and printing them takes more than 30 s
+test_output_past_its_digit_bound_exits_2_before_any_work = refused_before_any_work(
+    10**6,
+    10,
+    ["brute", "faulhaber", "recursive", "all"],
+    "bounded at 200000 digits",
+    advice=None,
+)
 
 
 def test_output_digit_bound_admits_up_to_200000_digits(capsys, monkeypatch):

@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from faulhaber import bernoulli
+from faulhaber import bernoulli, powersum
 from faulhaber.bench import BenchCell
 from faulhaber.bernoulli import BernoulliTable, bernoulli_recursive
 from faulhaber.integrality import RULE_EVEN, ResiduePrediction, Verdict
@@ -18,6 +18,7 @@ from faulhaber.powersum import (
     s_faulhaber,
     s_mod,
     s_recursive,
+    s_route,
 )
 from faulhaber.selftest import GroupResult
 
@@ -117,6 +118,44 @@ def test_faulhaber_inconsistency_is_loud():
     bad = BernoulliTable(4, *bernoulli._over_common_denominator(values), "recursive")
     with pytest.raises(InconsistencyError):
         s_faulhaber(PowerSumQuery(k=4, n=5), bad)
+
+
+@pytest.mark.parametrize(
+    "k,n,route,bound,advice",
+    [
+        (2, 10**30, "brute", "n <= 1000000", "use --route faulhaber or --route recursive for"),
+        (600, 10**6, "brute", "k n (bit length of n) <= 40000000", "use --route faulhaber for"),
+        (8192, 2, "faulhaber", "k <= 2048", "use --route brute for"),
+        (2000, 1000, "recursive", "<= 10000000000", "use --route brute or --route faulhaber for"),
+    ],
+)
+def test_s_route_refuses_past_each_bound_before_any_route_runs(monkeypatch, k, n, route, bound, advice):
+    def never(*args):
+        raise AssertionError("a route ran past its bound")
+
+    for name in ("s_brute", "s_faulhaber", "s_recursive"):
+        monkeypatch.setattr(powersum, name, never)
+    monkeypatch.setattr(bernoulli, "bernoulli_recursive", never)
+    for requested in (route, "all"):
+        with pytest.raises(ValueError) as exc:
+            s_route(PowerSumQuery(k=k, n=n), requested)
+        message = str(exc.value)
+        assert message.startswith(f"the {route} route (in --route {requested}) ")
+        assert bound in message
+        assert message.endswith(f"; {advice} k={k}, n={n}")
+
+
+@pytest.mark.parametrize("route,wrong", [("s_brute", 31), ("s_faulhaber", 31), ("s_recursive", [31])])
+def test_s_route_all_raises_on_a_planted_disagreement(monkeypatch, route, wrong):
+    q = PowerSumQuery(k=2, n=4)
+    monkeypatch.setattr(powersum, route, lambda *args: wrong)
+    with pytest.raises(InconsistencyError, match="routes disagree for k=2, n=4"):
+        s_route(q, "all")
+
+
+def test_s_route_rejects_an_unknown_route():
+    with pytest.raises(ValueError, match="route must be one of brute, faulhaber, recursive or all"):
+        s_route(PowerSumQuery(k=2, n=4), "closed-form")
 
 
 def test_faulhaber_matches_recursive_at_large_n():
