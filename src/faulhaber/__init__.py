@@ -27,11 +27,14 @@ from .powersum import (
     Average,
     InconsistencyError,
     PowerSumQuery,
+    ROUTES,
+    RouteRefused,
     mu,
     s_brute,
     s_faulhaber,
     s_mod,
     s_recursive,
+    s_route,
 )
 from .primes import (
     FactorizationError,
@@ -60,11 +63,14 @@ __all__ = [
     "Average",
     "InconsistencyError",
     "PowerSumQuery",
+    "ROUTES",
+    "RouteRefused",
     "mu",
     "s_brute",
     "s_faulhaber",
     "s_mod",
     "s_recursive",
+    "s_route",
     "FactorizationError",
     "factorize",
     "sieve",

@@ -185,9 +185,9 @@ def vsc_denominator(k: int) -> int:
     Equals the denominator of B_k in lowest terms, and is square-free.
     Needs only the factorization of k, never a Bernoulli table: besides 2,
     the primes are the odd 2m + 1 with m | k/2, settled by table lookup
-    below 2^16 (a table of least prime factors, which also factors k) and
-    by trial division above.  k must factor within
-    ``primes.DEFAULT_FACTOR_BOUND``.
+    below 2^16 (a table of least prime factors, which also factors k; for
+    k + 1 below 2^16 every candidate is a lookup) and by trial division
+    above.  k must factor within ``primes.DEFAULT_FACTOR_BOUND``.
     A miss multiplies the primes of ``primes.vsc_primes``, which filters
     each k once per process.
     """

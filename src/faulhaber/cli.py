@@ -87,7 +87,15 @@ def _sum_by_route(k: int, n: int, route: str) -> int:
             f"S_k(n) has about (k+1) log10(n) digits, and output is bounded at"
             f" {_OUTPUT_DIGIT_BOUND} digits; no route's bound admits k={k}, n={n}"
         )
-    return powersum.s_route(q, route)
+    try:
+        return powersum.s_route(q, route)
+    except powersum.RouteRefused as exc:
+        # the library names routes; the CLI names the option that picks one
+        others = " or ".join(f"--route {o}" for o in exc.admitting)
+        advice = f"use {others} for" if others else "no route's bound admits"
+        raise ValueError(
+            f"the {exc.route} route (in --route {route}) {exc.bound}; {advice} k={k}, n={n}"
+        ) from None
 
 
 def _cmd_bern(args: argparse.Namespace) -> int:

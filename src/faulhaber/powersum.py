@@ -34,6 +34,7 @@ __all__ = [
     "PowerSumQuery",
     "Average",
     "InconsistencyError",
+    "RouteRefused",
     "s_brute",
     "s_faulhaber",
     "s_recursive",
@@ -46,6 +47,14 @@ __all__ = [
 
 class InconsistencyError(RuntimeError):
     """An internal cross-check failed; indicates a bug, never bad input."""
+
+
+class RouteRefused(ValueError):
+    """A route's cost bound refuses (k, n); ``s_route`` raises it before any route runs.
+
+    ``route`` is the refused route, ``bound`` the text of its bound, and
+    ``admitting`` the routes whose bounds admit (k, n), in ``ROUTES`` order.
+    """
 
 
 # the fields of PowerSumQuery, which adds the checks: a NamedTuple body may not
@@ -206,9 +215,9 @@ def s_route(q: PowerSumQuery, route: str = "faulhaber") -> int:
     """S_k(n) by one of ``ROUTES``, or by all three cross-checked with "all".
 
     Every requested route's bound is tested before any route runs, and a
-    refusal names the routes whose bounds admit (k, n).  The routes are
-    looked up as module globals at call time, so a patched or wrapped route
-    is the one that runs.
+    refusal (``RouteRefused``) names the routes whose bounds admit (k, n).
+    The routes are looked up as module globals at call time, so a patched
+    or wrapped route is the one that runs.
 
     >>> s_route(PowerSumQuery(k=2, n=4), "all")
     30
@@ -220,9 +229,12 @@ def s_route(q: PowerSumQuery, route: str = "faulhaber") -> int:
     for r in names:
         bound = _refusal(r, k, n)
         if bound:
-            others = " or ".join(f"--route {o}" for o in ROUTES if not _refusal(o, k, n))
-            advice = f"use {others} for" if others else "no route's bound admits"
-            raise ValueError(f"the {r} route (in --route {route}) {bound}; {advice} k={k}, n={n}")
+            admitting = tuple(o for o in ROUTES if not _refusal(o, k, n))
+            others = " or ".join(admitting)
+            advice = f"use the {others} route for" if others else "no route's bound admits"
+            exc = RouteRefused(f"the {r} route {bound}; {advice} k={k}, n={n}")
+            exc.route, exc.bound, exc.admitting = r, bound, admitting
+            raise exc
     run = {"brute": s_brute, "faulhaber": s_faulhaber, "recursive": lambda q: s_recursive(*q)[-1]}
     values = {r: run[r](q) for r in names}
     if len(set(values.values())) != 1:

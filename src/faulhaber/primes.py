@@ -4,14 +4,15 @@ For even k, the primes p with (p-1) | k are exactly the primes in the
 denominator of the k-th Bernoulli number (von Staudt-Clausen), and they
 drive the fast integrality test.  Besides 2 they are the odd primes
 2m + 1 with m | k/2, so the filter factors k once, lists the candidates
-2m + 1 over the divisors m of k/2 (refusing, before it lists them, a k
-with more than ``_CANDIDATE_BOUND``), and settles each one below 2^16 by
-lookup in a 64 KB table of least prime factors; larger candidates go to
-``is_prime``.  Each k is filtered once per process: its result is cached
-as a tuple, and later calls for the same k return that tuple.  Factoring
-and primality share one trial-division loop with one fixed budget,
-``DEFAULT_FACTOR_BOUND``; it tries the primes below 2^10, read off the
-table, before it walks the odd numbers, and ``factorize`` reads the
+2m + 1 over the divisors m of k/2 by one append loop per prime factor
+(refusing, before it lists them, a k with more than ``_CANDIDATE_BOUND``),
+and settles each one below 2^16 by lookup in a 64 KB table of least prime
+factors; larger candidates go to ``is_prime``.  Each k is filtered once
+per process: its result is cached as a tuple, and later calls for the
+same k return that tuple.  Factoring and primality share one
+trial-division loop with one fixed budget, ``DEFAULT_FACTOR_BOUND``; it
+tries the primes below 2^10, read off the table, before it walks the odd
+numbers.  ``factorize`` reads the power of 2 off the bits of n and the
 factors of a cofactor below 2^16 straight off the table.  The table is
 built on the first call that needs it, never at import.  ``sieve`` lists
 the primes up to a limit by its own Eratosthenes loop, independent of the
@@ -134,33 +135,43 @@ def vsc_primes(k: int) -> tuple[int, ...]:
     Always contains 2 and 3, and nothing above k + 1.  The first call for
     each k runs the filter: one ``factorize(k)`` gives the number of odd
     candidates 2m + 1 with m | k/2, and past ``_CANDIDATE_BOUND`` of them
-    it raises ``FactorizationError`` before it lists any.  Otherwise it
-    lists them, and they are sorted once and settled from the
-    largest down: each is looked up in the least-factor table below 2^16
-    (prime where the entry is 0) and passed to ``is_prime`` from 2^16 on.
-    So a candidate that ``is_prime`` cannot certify raises before the many
-    small ones are spent.  Later calls return the cached tuple.  A k that
-    raises is not cached, so it raises again.
+    it raises ``FactorizationError`` before it lists any (a k up to twice
+    the bound needs no count: k/2 has at most k/2 divisors).  Otherwise it
+    lists them, one append loop per prime p of k/2 whose walk reaches the
+    entries it appended, so p's higher powers come out of the same loop.
+    They are sorted once and settled against the least-factor table (prime
+    where the entry is 0).  When the largest, k + 1, is below 2^16, that
+    is one forward pass of lookups.  Otherwise they are settled from the
+    largest down, the ones from 2^16 on by ``is_prime``, so a candidate
+    that ``is_prime`` cannot certify raises before the many small ones are
+    spent.  Later calls return the cached tuple.  A k that raises is not
+    cached, so it raises again.
     """
     if k < 2 or k % 2 != 0:
         raise ValueError(f"k must be a positive even integer, got {k}")
     factors = factorize(k)
-    count = 1  # the divisors of k/2
-    for p, a in factors:
-        count *= a if p == 2 else a + 1
-    if count > _CANDIDATE_BOUND:
-        raise FactorizationError(
-            f"k={k} has {count} candidates 2m + 1 (m | k/2), and the prime filter"
-            f" is bounded at {_CANDIDATE_BOUND} candidates"
-        )
+    if k > 2 * _CANDIDATE_BOUND:  # below it, k/2 has at most k/2 <= the bound divisors
+        count = 1  # the divisors of k/2
+        for p, a in factors:
+            count *= a if p == 2 else a + 1
+        if count > _CANDIDATE_BOUND:
+            raise FactorizationError(
+                f"k={k} has {count} candidates 2m + 1 (m | k/2), and the prime filter"
+                f" is bounded at {_CANDIDATE_BOUND} candidates"
+            )
     candidates = [3]  # 2m + 1 over the divisors m of k/2: factorize(k) with one 2 taken out
+    append = candidates.append
     for p, a in factors:
-        step = candidates
-        for _ in range(a - 1 if p == 2 else a):
-            step = [(c - 1) * p + 1 for c in step]  # m -> m * p
-            candidates += step
+        # one walk per prime reaches what it appends: entry i + len * j is entry i times p^j
+        stop = len(candidates) * (a - 1 if p == 2 else a)
+        i = 0
+        while i < stop:
+            append((candidates[i] - 1) * p + 1)  # m -> m * p
+            i += 1
     candidates.sort()
     table = _least_factors()
+    if k + 1 < _TABLE_SIZE:  # k + 1 is the largest candidate, so all are looked up
+        return (2, *[c for c in candidates if not table[c]])
     found = [c for c in reversed(candidates) if (not table[c] if c < _TABLE_SIZE else is_prime(c))]
     found.reverse()
     return (2, *found)
@@ -169,7 +180,9 @@ def vsc_primes(k: int) -> tuple[int, ...]:
 def factorize(n: int) -> tuple[tuple[int, int], ...]:
     """Factor n >= 2 by trial division within the one budget ``DEFAULT_FACTOR_BOUND``.
 
-    Returns the (prime, exponent) pairs, primes ascending.  Raises
+    Returns the (prime, exponent) pairs, primes ascending.  The power of 2
+    is read off the bits of n, and the odd cofactor is walked from 3: by
+    table lookup below 2^16, by trial division above.  Raises
     ``FactorizationError`` once a cofactor cannot be certified within the
     budget -- never returns a wrong or partial answer.
 
@@ -178,10 +191,11 @@ def factorize(n: int) -> tuple[tuple[int, int], ...]:
     """
     if n < 2:
         raise ValueError(f"factorize requires n >= 2, got {n}")
-    factors: list[tuple[int, int]] = []
+    a = (n & -n).bit_length() - 1  # the power of 2, off the bits
+    factors: list[tuple[int, int]] = [(2, a)] if a else []
     table = _least_factors()
-    r = n
-    d = 2
+    r = n >> a
+    d = 3
     while r > 1:
         d = (table[r] or r) if r < _TABLE_SIZE else _least_factor(r, d)
         a = 0

@@ -635,13 +635,24 @@ def test_bench_report(bench_report):
     assert big[0]["est_ms"] >= 999 * big[0]["ms"]  # 10^6 of the 10^9 terms, extrapolated
 
 
-def test_bench_calls_infeasible_exactly_the_brute_calls_the_cli_refuses(capsys, bench_report):
+def test_bench_calls_infeasible_exactly_the_brute_calls_the_cli_refuses(
+    capsys, monkeypatch, bench_report
+):
+    # a stub in place of the brute route: a bound that admits n = 10^9 fails here, not hangs
+    summed = []
+
+    def stub(q):
+        summed.append((q.k, q.n))
+        return 0
+
+    monkeypatch.setattr(faulhaber.powersum, "s_brute", stub)
     cells = [r for r in bench_report[:-1] if r["method"] == "s_brute"]
     assert len(cells) == len(bench.DEFAULT_CELLS)
     for r in cells:
         code, _, err = run_cli(capsys, "sum", r["k"], r["n"], "--route", "brute")
         assert (r["status"] == "infeasible") == (code == 2), (r, err)
     assert {r["status"] for r in cells} == {"ok", "infeasible"}
+    assert summed == [(int(r["k"]), int(r["n"])) for r in cells if r["status"] == "ok"]
 
 
 def test_bench_has_no_budget_option(capsys):

@@ -13,6 +13,7 @@ from faulhaber.powersum import (
     Average,
     InconsistencyError,
     PowerSumQuery,
+    RouteRefused,
     mu,
     s_brute,
     s_faulhaber,
@@ -121,15 +122,15 @@ def test_faulhaber_inconsistency_is_loud():
 
 
 @pytest.mark.parametrize(
-    "k,n,route,bound,advice",
+    "k,n,route,bound,admitting",
     [
-        (2, 10**30, "brute", "n <= 1000000", "use --route faulhaber or --route recursive for"),
-        (600, 10**6, "brute", "k n (bit length of n) <= 40000000", "use --route faulhaber for"),
-        (8192, 2, "faulhaber", "k <= 2048", "use --route brute for"),
-        (2000, 1000, "recursive", "<= 10000000000", "use --route brute or --route faulhaber for"),
+        (2, 10**30, "brute", "n <= 1000000", ("faulhaber", "recursive")),
+        (600, 10**6, "brute", "k n (bit length of n) <= 40000000", ("faulhaber",)),
+        (8192, 2, "faulhaber", "k <= 2048", ("brute",)),
+        (2000, 1000, "recursive", "<= 10000000000", ("brute", "faulhaber")),
     ],
 )
-def test_s_route_refuses_past_each_bound_before_any_route_runs(monkeypatch, k, n, route, bound, advice):
+def test_s_route_refuses_past_each_bound_before_any_route_runs(monkeypatch, k, n, route, bound, admitting):
     def never(*args):
         raise AssertionError("a route ran past its bound")
 
@@ -137,12 +138,32 @@ def test_s_route_refuses_past_each_bound_before_any_route_runs(monkeypatch, k, n
         monkeypatch.setattr(powersum, name, never)
     monkeypatch.setattr(bernoulli, "bernoulli_recursive", never)
     for requested in (route, "all"):
-        with pytest.raises(ValueError) as exc:
+        with pytest.raises(RouteRefused) as exc:
             s_route(PowerSumQuery(k=k, n=n), requested)
+        assert isinstance(exc.value, ValueError)
+        assert (exc.value.route, exc.value.admitting) == (route, admitting)
+        assert bound in exc.value.bound
         message = str(exc.value)
-        assert message.startswith(f"the {route} route (in --route {requested}) ")
-        assert bound in message
-        assert message.endswith(f"; {advice} k={k}, n={n}")
+        # the library names routes plainly: no CLI option in its text
+        advice = f"use the {' or '.join(admitting)} route for"
+        assert message == f"the {route} route {exc.value.bound}; {advice} k={k}, n={n}"
+        assert "--" not in message
+
+
+def test_package_exports_the_route_api():
+    import faulhaber
+
+    for name in ("ROUTES", "RouteRefused", "s_route"):
+        assert name in faulhaber.__all__
+        assert getattr(faulhaber, name) is getattr(powersum, name)
+    assert faulhaber.s_route(PowerSumQuery(k=2, n=4), "all") == 30
+
+
+def test_s_route_refusal_with_no_admitting_route():
+    with pytest.raises(RouteRefused) as exc:
+        s_route(PowerSumQuery(k=10**6, n=10**30), "all")
+    assert (exc.value.route, exc.value.admitting) == ("brute", ())
+    assert str(exc.value).endswith(f"; no route's bound admits k={10**6}, n={10**30}")
 
 
 @pytest.mark.parametrize("route,wrong", [("s_brute", 31), ("s_faulhaber", 31), ("s_recursive", [31])])

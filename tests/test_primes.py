@@ -67,6 +67,11 @@ def trial_division_divisors(k):
     return set(small) | {k // d for d in small}
 
 
+def divisor_filter(k):
+    # oracle: d + 1 over every divisor d of k, each settled by trial division
+    return tuple(sorted(d + 1 for d in trial_division_divisors(k) if trial_division_is_prime(d + 1)))
+
+
 def test_sieve_small():
     assert sieve(10) == [2, 3, 5, 7]
 
@@ -131,13 +136,48 @@ def test_vsc_primes_matches_direct_filter():
 
 
 def test_vsc_primes_matches_the_divisor_filter_across_the_table_edge():
-    # oracle: d + 1 over every divisor d of k, each settled by trial division
     straddling = [2 * m for m in range(2**15 - 64, 2**15 + 65)]  # candidates 2m + 1 around 2^16
     vsc_primes.cache_clear()
     for k in straddling + [2**17 - 2, 2**17, 2**17 + 2, 2**40, 10**12, 720720000]:
-        divisors = trial_division_divisors(k)
-        expected = tuple(sorted(d + 1 for d in divisors if trial_division_is_prime(d + 1)))
-        assert (k, vsc_primes(k)) == (k, expected)
+        assert (k, vsc_primes(k)) == (k, divisor_filter(k))
+
+
+@pytest.mark.parametrize("k", [65530, 65532, 65534, 65536, 65538, 65540])
+def test_vsc_primes_settles_by_table_below_2_to_the_16_and_by_is_prime_from_it(monkeypatch, k):
+    # the largest candidate is k + 1: below 2^16 every candidate is a table lookup,
+    # from 2^16 on the candidates there go to is_prime, largest first
+    calls = []
+
+    def recording_is_prime(n):
+        calls.append(n)
+        return is_prime(n)
+
+    monkeypatch.setattr(faulhaber.primes, "is_prime", recording_is_prime)
+    vsc_primes.cache_clear()
+    assert vsc_primes(k) == divisor_filter(k)
+    divisors = trial_division_divisors(k // 2)
+    large = sorted((2 * m + 1 for m in divisors if 2 * m + 1 >= 1 << 16), reverse=True)
+    assert calls == large
+    assert bool(calls) == (k + 1 >= 1 << 16)
+
+
+def test_vsc_primes_property_up_to_10_to_the_8():
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+    # half the draws smooth, so k/2 has many divisors and p^a runs of several steps
+    smooth = st.builds(
+        lambda a, b, c, d, e: 2**a * 3**b * 5**c * 7**d * e,
+        *(st.integers(0, bound) for bound in (20, 10, 6, 4)),
+        st.sampled_from([1, 11, 13, 11 * 13, 17 * 19, 65537]),
+    ).filter(lambda m: m <= 5 * 10**7)
+
+    @hypothesis.settings(max_examples=150, derandomize=True, database=None, deadline=None)
+    @hypothesis.given(st.one_of(st.integers(min_value=1, max_value=5 * 10**7), smooth))
+    def check(m):
+        vsc_primes.cache_clear()
+        assert vsc_primes(2 * m) == divisor_filter(2 * m)
+
+    check()
 
 
 def test_import_leaves_the_filter_table_unbuilt(src_env):
@@ -258,6 +298,18 @@ CROSSING = sorted(
 def test_factorize_matches_trial_division_across_the_table_edge():
     for n in CROSSING:
         assert (n, outcome(factorize, n)) == (n, outcome(trial_division_factorize, n))
+
+
+# an odd part past the budget: each call walks the divisors to 10^6 before it raises
+PAST_THE_BUDGET = 1000003 * 1000033
+
+
+@pytest.mark.parametrize("c", [1, 3, 5**3, 255, 65521, 65535, 65537, 1000003, PAST_THE_BUDGET])
+def test_factorize_reads_powers_of_2_up_to_2_to_the_100(c):
+    for a in range(101) if c != PAST_THE_BUDGET else (0, 1, 64, 100):
+        n = 2**a * c
+        if n >= 2:
+            assert (n, outcome(factorize, n)) == (n, outcome(trial_division_factorize, n))
 
 
 def test_is_prime_matches_trial_division_past_the_table_edge():
