@@ -3,6 +3,9 @@ integrality test for the average of the first n k-th powers.
 
 Everything is computed in exact arithmetic (Python ints and
 ``fractions.Fraction``); no value in this package is ever a float.
+Importing the package loads only int code: ``fractions`` (with the
+``decimal`` and ``numbers`` it imports) loads when the first Fraction is
+built.
 """
 
 from .bernoulli import (

@@ -31,9 +31,10 @@ from __future__ import annotations
 import math
 import threading
 from collections.abc import Sequence
-from fractions import Fraction
 from functools import lru_cache
 
+# fractions (and the decimal and numbers it pulls in) is imported where a
+# Fraction is built, so a process that only decides integrality never loads it
 from . import primes
 
 __all__ = [
@@ -88,11 +89,15 @@ class BernoulliTable:
     def __getitem__(self, k: int) -> Fraction:
         if not 0 <= k <= self.limit:
             raise IndexError(f"index {k} outside table range 0..{self.limit}")
+        from fractions import Fraction
+
         return Fraction(self.scaled[k], self.lcm)
 
     @property
     def values(self) -> tuple[Fraction, ...]:
         """B_0..B_limit as ``Fraction`` values in lowest terms."""
+        from fractions import Fraction
+
         return tuple(Fraction(a, self.lcm) for a in self.scaled)
 
     def __eq__(self, other: object) -> bool:
@@ -118,6 +123,8 @@ def _extend_recursive(limit: int) -> None:
     #   c_n[1] = (n-1) c_{n-1}[1],  c_n[s] = (n-s) c_{n-1}[s] + (n-s+2) c_n[s-1],
     # with c_{n-1}[n] = 0 and T_n = c_n[n], growing the memo costs the new columns only
     global _tangent_column, _scaled_values
+    from fractions import Fraction
+
     col, added = _tangent_column, []
     while 2 * len(col) + 1 < limit:
         n = len(col) + 1
@@ -152,6 +159,7 @@ def _over_common_denominator(
 def bernoulli_recursive(limit: int) -> BernoulliTable:
     """Exact table B_0..B_limit from the integer tangent-number recurrence.
 
+    >>> from fractions import Fraction
     >>> bernoulli_recursive(12)[12] == Fraction(-691, 2730)
     True
     """
@@ -167,6 +175,8 @@ def bernoulli_egf(limit: int) -> BernoulliTable:
     """Exact table B_0..B_limit from series division of x by (e^x - 1)."""
     if limit < 0:
         raise ValueError(f"table limit must be >= 0, got {limit}")
+    from fractions import Fraction
+
     # q = x / (e^x - 1) as a truncated series; with d_i = 1/(i+1)! the
     # divisor (e^x - 1)/x has d_0 = 1, so long division reads
     #   q_i = -(d_1 q_{i-1} + ... + d_i q_0)

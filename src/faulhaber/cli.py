@@ -14,13 +14,12 @@ only), 2 usage or input error or a closed stdout, 3 internal inconsistency.
 from __future__ import annotations
 
 import argparse
-import json
 import math
 import os
 import sys
-from decimal import Decimal, localcontext
-from fractions import Fraction
 
+# json, decimal and fractions are imported where they are used, so check,
+# denom and table without --json load only int code
 from . import bench, bernoulli, integrality, powersum, primes, selftest
 from .powersum import InconsistencyError, PowerSumQuery
 
@@ -40,6 +39,8 @@ _APPROX_DIGITS = 12
 
 def _emit(record: dict, as_json: bool, human: str) -> None:
     if as_json:
+        import json
+
         print(json.dumps(record))
     else:
         print(human)
@@ -48,6 +49,7 @@ def _emit(record: dict, as_json: bool, human: str) -> None:
 def format_rational(q: Fraction) -> str:
     """Canonical string form: plain decimal for integers, "num/den" otherwise.
 
+    >>> from fractions import Fraction
     >>> format_rational(Fraction(-1, 30))
     '-1/30'
     >>> format_rational(Fraction(0))
@@ -64,6 +66,7 @@ def approx_decimal(q: Fraction) -> str:
     It keeps 12 significant digits, rounded in ``decimal`` past the normal
     float range, where a float would overflow, lose digits or round to 0.
 
+    >>> from fractions import Fraction
     >>> approx_decimal(Fraction(-1, 30))
     '-0.0333333333333'
     >>> approx_decimal(Fraction(-7 * 10**500))
@@ -73,6 +76,8 @@ def approx_decimal(q: Fraction) -> str:
     """
     if not q or sys.float_info.min <= abs(q) <= sys.float_info.max:
         return format(q.numerator / q.denominator, f".{_APPROX_DIGITS}g")
+    from decimal import Decimal, localcontext
+
     with localcontext() as ctx:
         ctx.prec = _APPROX_DIGITS
         value = Decimal(q.numerator) / q.denominator
@@ -150,6 +155,8 @@ def _cmd_sum(args: argparse.Namespace) -> int:
 
 
 def _cmd_avg(args: argparse.Namespace) -> int:
+    from fractions import Fraction
+
     value = Fraction(_sum_by_route(args.k, args.n, args.route), args.n)
     record = {
         "command": "avg",
@@ -195,7 +202,9 @@ def _cmd_table(args: argparse.Namespace) -> int:
             f" kmax nmax <= {_TABLE_CELL_BOUND}; got kmax={args.kmax}, nmax={args.nmax}"
         )
     rows = integrality.grid(args.kmax, args.nmax)
-    if not args.json:
+    if args.json:
+        import json
+    else:
         print(f"  k  denominator  integral for n = 1..{args.nmax}")
     for k, row in enumerate(rows, start=1):
         den = str(bernoulli.vsc_denominator(k)) if k >= 2 and k % 2 == 0 else None

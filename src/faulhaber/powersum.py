@@ -25,9 +25,9 @@ take no bound.
 from __future__ import annotations
 
 import math
-from fractions import Fraction
 from typing import NamedTuple
 
+# fractions is imported in mu, its one user here, as in bernoulli
 from . import bernoulli
 
 __all__ = [
@@ -260,5 +260,7 @@ def mu(q: PowerSumQuery) -> Average:
     >>> mu(PowerSumQuery(k=3, n=2)).value
     Fraction(9, 2)
     """
+    from fractions import Fraction
+
     value = Fraction(s_faulhaber(q), q.n)
     return Average(value=value, integral=value.denominator == 1)

@@ -1,4 +1,5 @@
 import argparse
+import ast
 import contextlib
 import io
 import json
@@ -704,6 +705,64 @@ def test_cli_import_loads_neither_dataclasses_nor_inspect(src_env):
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.split() == ["faulhaber.bench", "faulhaber.selftest"]
+
+
+# fractions imports decimal and numbers; json is the CLI's own
+_LAZY_MODULES = ("fractions", "decimal", "numbers", "json")
+
+
+def test_cli_import_loads_no_rational_decimal_or_json(src_env):
+    code = f"import sys, faulhaber.cli; print(*(m for m in {_LAZY_MODULES!r} if m in sys.modules))"
+    proc = subprocess.run(
+        [sys.executable, "-S", "-c", code], capture_output=True, text=True, env=src_env, timeout=120
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == []
+
+
+def test_int_only_commands_load_no_rational_decimal_or_json(src_env):
+    # one child runs the commands in turn and reports, after each, its exit
+    # code, its stdout and which of the lazy modules are loaded by then; bern
+    # and --json come last, to show the probe sees a load when there is one
+    code = f"""
+import contextlib, io, sys
+from faulhaber import cli
+for argv in (["check", "4", "7"], ["denom", "60"], ["table", "4", "8"],
+             ["bern", "12"], ["check", "4", "7", "--json"]):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = cli.main(argv)
+    loaded = [m for m in {_LAZY_MODULES!r} if m in sys.modules]
+    print(ascii((code, out.getvalue(), loaded)))
+"""
+    proc = subprocess.run(
+        [sys.executable, "-S", "-c", code], capture_output=True, text=True, env=src_env, timeout=120
+    )
+    assert proc.returncode == 0, proc.stderr
+    check, denom, table, bern, check_json = map(ast.literal_eval, proc.stdout.splitlines())
+    assert check == (0, "integral\n", [])
+    assert denom == (0, "56786730\n", [])
+    assert table == (
+        0,
+        "  k  denominator  integral for n = 1..8\n"
+        "  1            -  ✓ ✗ ✓ ✗ ✓ ✗ ✓ ✗\n"
+        "  2            6  ✓ ✗ ✗ ✗ ✓ ✗ ✓ ✗\n"
+        "  3            -  ✓ ✗ ✓ ✓ ✓ ✗ ✓ ✓\n"
+        "  4           30  ✓ ✗ ✗ ✗ ✗ ✗ ✓ ✗\n",
+        [],
+    )
+    assert bern[:2] == (0, "-691/2730\n")
+    assert "fractions" in bern[2] and "json" not in bern[2]
+    assert check_json[0] == 0 and "json" in check_json[2]
+    assert json.loads(check_json[1]) == {
+        "command": "check",
+        "k": "4",
+        "n": "7",
+        "integral": True,
+        "rule": "even-k",
+        "witness_primes": [],
+        "witness_residue": None,
+    }
 
 
 @pytest.mark.parametrize(

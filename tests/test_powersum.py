@@ -70,6 +70,19 @@ def test_mu_small_cases():
     assert mu(PowerSumQuery(k=2, n=5)) == Average(value=Fraction(11), integral=True)
 
 
+def test_exact_values_are_fractions_even_when_integral():
+    # 2 == Fraction(2), so only the type tells a lazily imported Fraction
+    # from an int that slipped through in its place
+    values = [
+        bernoulli_recursive(6)[6],
+        *bernoulli_recursive(6).values,
+        bernoulli.bernoulli_egf(6)[6],
+        mu(PowerSumQuery(k=3, n=2)).value,
+        mu(PowerSumQuery(k=1, n=3)).value,
+    ]
+    assert [type(v) for v in values] == [Fraction] * len(values)
+
+
 def test_query_validation_is_shared():
     with pytest.raises(ValueError):
         PowerSumQuery(k=0, n=5)
