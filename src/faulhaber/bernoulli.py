@@ -3,10 +3,11 @@
 Convention: B_1 = -1/2 throughout.  The two routes share no algorithmic
 code, which lets each serve as an oracle for the other:
 
-* ``bernoulli_recursive`` is integer-only until the last step.  It builds
-  the tangent numbers T_1, T_2, ... by the O(n^2) recurrence of Brent and
-  Harvey ("Fast computation of Bernoulli, Tangent and Secant numbers",
-  arXiv:1108.0286) and sets B_2n = (-1)^(n-1) 2n T_n / (4^n (4^n - 1)).
+* ``bernoulli_recursive`` is integer-only.  It builds the tangent numbers
+  T_1, T_2, ... by the O(n^2) recurrence of Brent and Harvey ("Fast
+  computation of Bernoulli, Tangent and Secant numbers", arXiv:1108.0286)
+  and sets B_2n = (-1)^(n-1) 2n T_n / (4^n (4^n - 1)) as an int numerator
+  and denominator, reduced by one gcd.
 
 * ``bernoulli_egf`` long-divides the power series x by (e^x - 1) in exact
   rationals and reads B_k off as k! times the k-th quotient coefficient.
@@ -30,11 +31,11 @@ from __future__ import annotations
 
 import math
 import threading
-from collections.abc import Sequence
 from functools import lru_cache
 
 # fractions (and the decimal and numbers it pulls in) is imported where a
-# Fraction is built, so a process that only decides integrality never loads it
+# Fraction is built: by t[k], t.values and the series route; the memo grows in
+# ints, so building it and summing over it never load fractions
 from . import primes
 
 __all__ = [
@@ -123,9 +124,7 @@ def _extend_recursive(limit: int) -> None:
     #   c_n[1] = (n-1) c_{n-1}[1],  c_n[s] = (n-s) c_{n-1}[s] + (n-s+2) c_n[s-1],
     # with c_{n-1}[n] = 0 and T_n = c_n[n], growing the memo costs the new columns only
     global _tangent_column, _scaled_values
-    from fractions import Fraction
-
-    col, added = _tangent_column, []
+    col, added = _tangent_column, []  # each new B_2n as (numerator, denominator)
     while 2 * len(col) + 1 < limit:
         n = len(col) + 1
         new = [(n - 1) * col[0] if col else 1]
@@ -133,27 +132,20 @@ def _extend_recursive(limit: int) -> None:
             new.append((n - s) * c + (n - s + 2) * new[-1])
         col = new
         four_n = 4**n
-        b = Fraction(2 * n * new[-1], four_n * (four_n - 1))
-        added += (b if n % 2 else -b, Fraction(0))  # B_2n, B_2n+1
-    if added:
-        _tangent_column, _scaled_values = col, _over_common_denominator(added, _scaled_values)
-
-
-def _over_common_denominator(
-    values: Sequence[Fraction], prefix: tuple[int, tuple[int, ...]] = (1, ())
-) -> tuple[int, tuple[int, ...]]:
-    """(L, (L a_0, ..., L b_0, L b_1, ...)): ``prefix`` extended by the Fractions b_i.
-
-    ``prefix`` is such a pair for the entries a_i before ``values``; L is
-    the lcm of its L and the denominators of the b_i, and the a_i are
-    rescaled by the factor L grew by instead of divided out again.
-    """
-    lcm, done = prefix
-    grown = math.lcm(lcm, *{b.denominator for b in values})
+        num, den = 2 * n * new[-1], four_n * (four_n - 1)
+        # in lowest terms, so the memo's L stays the lcm of the true denominators
+        g = math.gcd(num, den)
+        added.append(((num if n % 2 else -num) // g, den // g))
+    if not added:
+        return
+    # L grows to the lcm of the new denominators; the old entries are rescaled
+    # by the factor it grew by, and each B_2n is followed by B_2n+1 = 0
+    lcm, done = _scaled_values
+    grown = math.lcm(lcm, *(den for _, den in added))
     if grown != lcm:
-        factor = grown // lcm
-        done = tuple(a * factor for a in done)
-    return grown, done + tuple(b.numerator * (grown // b.denominator) for b in values)
+        done = tuple(a * (grown // lcm) for a in done)
+    done += tuple(x for num, den in added for x in (num * (grown // den), 0))
+    _tangent_column, _scaled_values = col, (grown, done)
 
 
 def bernoulli_recursive(limit: int) -> BernoulliTable:
@@ -184,7 +176,9 @@ def bernoulli_egf(limit: int) -> BernoulliTable:
     q = [Fraction(1)]
     for i in range(1, limit + 1):
         q.append(-sum(d[j] * q[i - j] for j in range(1, i + 1)))
-    lcm, scaled = _over_common_denominator([math.factorial(k) * c for k, c in enumerate(q)])
+    b = [math.factorial(k) * c for k, c in enumerate(q)]
+    lcm = math.lcm(*(c.denominator for c in b))
+    scaled = tuple(c.numerator * (lcm // c.denominator) for c in b)
     return BernoulliTable(limit=limit, lcm=lcm, scaled=scaled, route="egf")
 
 

@@ -289,6 +289,15 @@ def build_parser() -> argparse.ArgumentParser:
     )
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--json", action="store_true", help="emit line-delimited JSON records")
+    summed = argparse.ArgumentParser(add_help=False, parents=[common])
+    summed.add_argument("k", type=int)
+    summed.add_argument("n", type=int)
+    summed.add_argument(
+        "--route",
+        choices=(*powersum.ROUTES, "all"),
+        default="faulhaber",
+        help="evaluation route; 'all' cross-checks every route",
+    )
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("bern", parents=[common], help="print the k-th Bernoulli number")
@@ -301,21 +310,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("k", type=int)
     p.set_defaults(handler=_cmd_denom)
 
-    p = sub.add_parser("sum", parents=[common], help="S_k(n) = 1^k + ... + n^k, exactly")
-    p.add_argument("k", type=int)
-    p.add_argument("n", type=int)
-    p.add_argument(
-        "--route",
-        choices=(*powersum.ROUTES, "all"),
-        default="faulhaber",
-        help="evaluation route; 'all' cross-checks every route",
-    )
+    p = sub.add_parser("sum", parents=[summed], help="S_k(n) = 1^k + ... + n^k, exactly")
     p.set_defaults(handler=_cmd_sum)
 
-    p = sub.add_parser("avg", parents=[common], help="average of the first n k-th powers")
-    p.add_argument("k", type=int)
-    p.add_argument("n", type=int)
-    p.add_argument("--route", choices=(*powersum.ROUTES, "all"), default="faulhaber")
+    p = sub.add_parser("avg", parents=[summed], help="average of the first n k-th powers")
     p.add_argument("--approx", action="store_true", help="append a decimal approximation")
     p.set_defaults(handler=_cmd_avg)
 

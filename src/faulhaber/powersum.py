@@ -205,8 +205,7 @@ def _refusal(route: str, k: int, n: int) -> str:
         )
     if route == "faulhaber" and k > _FAULHABER_K_BOUND:
         return f"builds the Bernoulli table to B_k and is bounded at k <= {_FAULHABER_K_BOUND}"
-    recursive_work = k * k * (k + 1) * ((n + 1).bit_length() + 32)
-    if route == "recursive" and recursive_work > _RECURSIVE_WORK_BOUND:
+    if route == "recursive" and k * k * (k + 1) * ((n + 1).bit_length() + 32) > _RECURSIVE_WORK_BOUND:
         return f"is bounded at k^2 (k+1) (bit length of n+1, plus 32) <= {_RECURSIVE_WORK_BOUND}"
     return ""
 
@@ -257,10 +256,13 @@ def s_mod(q: PowerSumQuery, m: int) -> int:
 def mu(q: PowerSumQuery) -> Average:
     """The average of the first n k-th powers, exactly.
 
+    S_k(n) comes from ``s_route`` by the faulhaber route, so a k past that
+    route's bound raises ``RouteRefused`` before any table is built.
+
     >>> mu(PowerSumQuery(k=3, n=2)).value
     Fraction(9, 2)
     """
     from fractions import Fraction
 
-    value = Fraction(s_faulhaber(q), q.n)
+    value = Fraction(s_route(q), q.n)
     return Average(value=value, integral=value.denominator == 1)

@@ -1,7 +1,9 @@
+import math
 from fractions import Fraction
 
 import pytest
 
+from faulhaber import bernoulli
 from faulhaber.bernoulli import (
     bernoulli_egf,
     bernoulli_recursive,
@@ -50,6 +52,15 @@ def test_tables_of_the_same_values_are_equal_over_any_common_denominator(fresh_m
     assert hash(again) == hash(small)
     assert again != bernoulli_recursive(7)
     assert again != bernoulli_egf(6)  # another route
+
+
+@pytest.mark.parametrize("steps", [[512], [6, 64, 65, 300, 512]], ids=["one-shot", "stepwise"])
+def test_memo_common_denominator_is_the_lcm_of_the_denominators(fresh_memo, steps):
+    # each new B_2n is reduced before L takes its denominator; without that,
+    # L grows by the common factors of 2n T_n and 4^n (4^n - 1)
+    for limit in steps:
+        t = bernoulli_recursive(limit)
+        assert bernoulli._scaled_values[0] == math.lcm(*(t[j].denominator for j in range(limit + 1)))
 
 
 def test_negative_limit_rejected():

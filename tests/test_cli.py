@@ -18,7 +18,7 @@ import faulhaber.integrality
 import faulhaber.powersum
 import faulhaber.primes
 from faulhaber import bench, selftest
-from faulhaber.bernoulli import BernoulliTable, _over_common_denominator, bernoulli_recursive
+from faulhaber.bernoulli import BernoulliTable, bernoulli_recursive
 from faulhaber.cli import approx_decimal, build_parser, format_rational, main
 from faulhaber.primes import vsc_primes
 
@@ -30,9 +30,9 @@ def run_cli(capsys, *argv):
 
 
 def corrupt_egf(limit):
-    good = bernoulli_recursive(limit)
-    values = good.values[:-1] + (good.values[-1] + 1,)
-    return BernoulliTable(limit, *_over_common_denominator(values), "egf")
+    # B_limit + 1: L added to L B_limit over the table's common denominator L
+    t = bernoulli_recursive(limit)
+    return BernoulliTable(limit, t.lcm, (*t.scaled[:-1], t.scaled[-1] + t.lcm), "egf")
 
 
 def test_format_rational():
@@ -727,8 +727,8 @@ def test_int_only_commands_load_no_rational_decimal_or_json(src_env):
     code = f"""
 import contextlib, io, sys
 from faulhaber import cli
-for argv in (["check", "4", "7"], ["denom", "60"], ["table", "4", "8"],
-             ["bern", "12"], ["check", "4", "7", "--json"]):
+for argv in (["check", "4", "7"], ["denom", "60"], ["table", "4", "8"], ["sum", "3", "10"],
+             ["sum", "3", "10", "--route", "all"], ["bern", "12"], ["check", "4", "7", "--json"]):
     out = io.StringIO()
     with contextlib.redirect_stdout(out):
         code = cli.main(argv)
@@ -739,7 +739,7 @@ for argv in (["check", "4", "7"], ["denom", "60"], ["table", "4", "8"],
         [sys.executable, "-S", "-c", code], capture_output=True, text=True, env=src_env, timeout=120
     )
     assert proc.returncode == 0, proc.stderr
-    check, denom, table, bern, check_json = map(ast.literal_eval, proc.stdout.splitlines())
+    check, denom, table, sum_, sum_all, bern, check_json = map(ast.literal_eval, proc.stdout.splitlines())
     assert check == (0, "integral\n", [])
     assert denom == (0, "56786730\n", [])
     assert table == (
@@ -751,6 +751,8 @@ for argv in (["check", "4", "7"], ["denom", "60"], ["table", "4", "8"],
         "  4           30  ✓ ✗ ✗ ✗ ✗ ✗ ✓ ✗\n",
         [],
     )
+    # the memo grows in ints, and each route of sum is int-only
+    assert sum_ == sum_all == (0, "3025\n", [])
     assert bern[:2] == (0, "-691/2730\n")
     assert "fractions" in bern[2] and "json" not in bern[2]
     assert check_json[0] == 0 and "json" in check_json[2]

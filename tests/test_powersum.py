@@ -127,9 +127,11 @@ def test_every_record_survives_pickle(record, field):
 
 def test_faulhaber_inconsistency_is_loud():
     # a corrupted table must trip the exactness check, not return garbage
-    good = bernoulli_recursive(4)
-    values = good.values[:2] + (Fraction(1, 7),) + good.values[3:]
-    bad = BernoulliTable(4, *bernoulli._over_common_denominator(values), "recursive")
+    # B_2 = 1/7 over the common denominator 7 L
+    t = bernoulli_recursive(4)
+    scaled = [7 * a for a in t.scaled]
+    scaled[2] = t.lcm
+    bad = BernoulliTable(4, 7 * t.lcm, tuple(scaled), "recursive")
     with pytest.raises(InconsistencyError):
         s_faulhaber(PowerSumQuery(k=4, n=5), bad)
 
@@ -161,6 +163,16 @@ def test_s_route_refuses_past_each_bound_before_any_route_runs(monkeypatch, k, n
         advice = f"use the {' or '.join(admitting)} route for"
         assert message == f"the {route} route {exc.value.bound}; {advice} k={k}, n={n}"
         assert "--" not in message
+
+
+def test_mu_is_refused_past_the_faulhaber_bound_before_any_table_is_built(monkeypatch):
+    def never(limit):
+        raise AssertionError(f"a table to B_{limit} was built past the bound")
+
+    monkeypatch.setattr(bernoulli, "bernoulli_recursive", never)
+    with pytest.raises(RouteRefused) as exc:
+        mu(PowerSumQuery(k=10**6, n=2))
+    assert exc.value.route == "faulhaber"
 
 
 def test_package_exports_the_route_api():
@@ -225,10 +237,10 @@ def test_faulhaber_inconsistency_is_loud_at_large_index():
     # (n+1)^256 is odd and C(512, 256) carries a single factor 2, so the change
     # holds 2^2 against the 2^10 in L * 512 and the division cannot come out
     # exact.  (At a k with k + 1 prime the same corruption can pass the check.)
-    good = bernoulli_recursive(511)
-    values = list(good.values)
-    values[256] += 1
-    bad = BernoulliTable(511, *bernoulli._over_common_denominator(values), "recursive")
+    t = bernoulli_recursive(511)
+    scaled = list(t.scaled)
+    scaled[256] += t.lcm
+    bad = BernoulliTable(511, t.lcm, tuple(scaled), "recursive")
     for n in (2, 10**40):
         with pytest.raises(InconsistencyError):
             s_faulhaber(PowerSumQuery(k=511, n=n), bad)

@@ -1,7 +1,6 @@
 import doctest
 import importlib
 import pkgutil
-from fractions import Fraction
 
 import pytest
 
@@ -71,9 +70,11 @@ def test_a_route_inconsistency_fails_its_group_and_the_rest_still_run(monkeypatc
     # B_2 + 1/7 in the series table makes the closed form over it leave a
     # remainder, and s_faulhaber raises InconsistencyError at k = 2, n = 1
     def egf_with_bad_b2(limit):
-        values = list(bernoulli_recursive(limit).values)
-        values[2] += Fraction(1, 7)
-        return bernoulli.BernoulliTable(limit, *bernoulli._over_common_denominator(values), "egf")
+        # over the common denominator 7 L, B_2 + 1/7 adds L to 7 L B_2
+        t = bernoulli_recursive(limit)
+        scaled = [7 * a for a in t.scaled]
+        scaled[2] += t.lcm
+        return bernoulli.BernoulliTable(limit, 7 * t.lcm, tuple(scaled), "egf")
 
     monkeypatch.setattr(bernoulli, "bernoulli_egf", egf_with_bad_b2)
     results = selftest.run_groups()
