@@ -8,72 +8,20 @@ Importing the package loads only int code: ``fractions`` (with the
 built.
 """
 
-from .bernoulli import (
-    BernoulliTable,
-    bernoulli_egf,
-    bernoulli_recursive,
-    is_regular,
-    vsc_denominator,
-)
-from .integrality import (
-    RULE_EVEN,
-    RULE_K1,
-    RULE_ODD,
-    ResiduePrediction,
-    Verdict,
-    decide,
-    grid,
-    predict_residue,
-    prime_block_sum,
-)
-from .powersum import (
-    Average,
-    InconsistencyError,
-    PowerSumQuery,
-    ROUTES,
-    RouteRefused,
-    mu,
-    s_brute,
-    s_faulhaber,
-    s_mod,
-    s_recursive,
-    s_route,
-)
-from .primes import (
-    FactorizationError,
-    factorize,
-    sieve,
-    vsc_primes,
-)
+from . import bernoulli, integrality, powersum
+from .bernoulli import *
+from .integrality import *
+from .powersum import *
+
+# not primes.__all__: is_prime and DEFAULT_FACTOR_BOUND stay out of the package
+from .primes import FactorizationError, factorize, sieve, vsc_primes
 
 __version__ = "1.0.0"
 
 __all__ = [
-    "BernoulliTable",
-    "bernoulli_egf",
-    "bernoulli_recursive",
-    "is_regular",
-    "vsc_denominator",
-    "RULE_EVEN",
-    "RULE_K1",
-    "RULE_ODD",
-    "ResiduePrediction",
-    "Verdict",
-    "decide",
-    "grid",
-    "predict_residue",
-    "prime_block_sum",
-    "Average",
-    "InconsistencyError",
-    "PowerSumQuery",
-    "ROUTES",
-    "RouteRefused",
-    "mu",
-    "s_brute",
-    "s_faulhaber",
-    "s_mod",
-    "s_recursive",
-    "s_route",
+    *bernoulli.__all__,
+    *integrality.__all__,
+    *powersum.__all__,
     "FactorizationError",
     "factorize",
     "sieve",

@@ -42,16 +42,10 @@ class BenchCell(NamedTuple):
     est_ms: float | None  # extrapolated total when infeasible
 
 
-def run_bench(cells: tuple[tuple[int, int], ...] = DEFAULT_CELLS) -> list[BenchCell]:
-    """Time every method on every cell; raises on verdict disagreement.
-
-    Every cell is checked before the first one is timed, so a bad cell
-    (k < 1 or n < 1) fails at once.
-    """
-    for k, n in cells:
-        PowerSumQuery(k=k, n=n)
+def run_bench() -> list[BenchCell]:
+    """Time every method on every cell of DEFAULT_CELLS; raises on verdict disagreement."""
     out: list[BenchCell] = []
-    for k, n in cells:
+    for k, n in DEFAULT_CELLS:
         start = time.perf_counter()
         verdict = integrality.decide(k, n)
         ms = (time.perf_counter() - start) * 1000.0
@@ -80,18 +74,10 @@ def run_bench(cells: tuple[tuple[int, int], ...] = DEFAULT_CELLS) -> list[BenchC
     return out
 
 
-def speedup_estimate(results: list[BenchCell]) -> tuple[int, int, float] | None:
-    """(k, n, ratio) of s_mod cost to decide cost at the largest cell timed."""
-    best = None
-    by_key: dict[tuple[int, int], dict[str, BenchCell]] = {}
-    for c in results:
-        by_key.setdefault((c.k, c.n), {})[c.method] = c
-    for (k, n), methods in by_key.items():
-        dec, smod = methods.get("decide"), methods.get("s_mod")
-        if dec is None or smod is None:
-            continue
-        cost = smod.elapsed_ms if smod.status == "ok" else (smod.est_ms or 0.0)
-        ratio = cost / max(dec.elapsed_ms, 1e-3)
-        if best is None or n > best[1]:
-            best = (k, n, round(ratio, 1))
-    return best
+def speedup_estimate(results: list[BenchCell]) -> tuple[int, int, float]:
+    """(k, n, ratio) of s_mod cost to decide cost at the last, largest default cell."""
+    k, n = DEFAULT_CELLS[-1]
+    methods = {c.method: c for c in results if (c.k, c.n) == (k, n)}
+    dec, smod = methods["decide"], methods["s_mod"]
+    cost = smod.elapsed_ms if smod.status == "ok" else smod.est_ms
+    return k, n, round(cost / max(dec.elapsed_ms, 1e-3), 1)

@@ -321,6 +321,9 @@ def test_sum_rejects_bad_bounds(capsys):
     assert "n must be" in err
     code, _, err = run_cli(capsys, "avg", "0", "5")
     assert code == 2
+    code, out, err = run_cli(capsys, "avg", "3", "0")
+    assert (code, out) == (2, "")
+    assert "n must be" in err
 
 
 def test_avg_values(capsys):
@@ -560,10 +563,6 @@ def test_bern_verify_disagreement_exits_3(capsys, monkeypatch):
     assert "disagree" in err
 
 
-def no_decide(k, n):
-    raise AssertionError(f"decide({k}, {n}) ran before the arguments were checked")
-
-
 def test_bench_verdict_disagreement_exits_3(capsys, monkeypatch):
     decide = faulhaber.integrality.decide
 
@@ -671,13 +670,6 @@ def test_readme_cli_block_names_only_existing_options():
     known = {s for p in sub.choices.values() for action in p._actions for s in action.option_strings}
     named = set(re.findall(r"--[a-z][a-z-]*", block))
     assert named and named <= known, named - known
-
-
-@pytest.mark.parametrize("cell", [(0, 5), (5, 0)], ids=["k-zero", "n-zero"])
-def test_run_bench_bad_cell_raises_before_any_cell(monkeypatch, cell):
-    monkeypatch.setattr(faulhaber.integrality, "decide", no_decide)
-    with pytest.raises(ValueError, match="must be >= 1"):
-        bench.run_bench(cells=(cell,))
 
 
 def test_module_entry_point_runs(src_env):

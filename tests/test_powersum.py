@@ -177,10 +177,19 @@ def test_mu_is_refused_past_the_faulhaber_bound_before_any_table_is_built(monkey
 
 def test_package_exports_the_route_api():
     import faulhaber
+    from faulhaber import integrality, primes
 
-    for name in ("ROUTES", "RouteRefused", "s_route"):
-        assert name in faulhaber.__all__
-        assert getattr(faulhaber, name) is getattr(powersum, name)
+    picked = ("FactorizationError", "factorize", "sieve", "vsc_primes")
+    defined_in = {name: m for m in (bernoulli, integrality, powersum) for name in m.__all__}
+    defined_in.update(dict.fromkeys(picked, primes))
+    assert len(faulhaber.__all__) == len(set(faulhaber.__all__)) == len(defined_in)
+    assert set(faulhaber.__all__) == set(defined_in)
+    for name, module in defined_in.items():
+        assert getattr(faulhaber, name) is getattr(module, name), name
+    bound = {}
+    exec("from faulhaber import *", bound)
+    assert set(bound) - {"__builtins__"} == set(faulhaber.__all__)
+    assert not {"is_prime", "DEFAULT_FACTOR_BOUND"} & set(faulhaber.__all__)
     assert faulhaber.s_route(PowerSumQuery(k=2, n=4), "all") == 30
 
 
