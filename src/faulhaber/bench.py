@@ -14,13 +14,10 @@ n0 = n the cell is ``ok`` and its verdict is cross-checked against
 extrapolated from the prefix by n / n0, so the report still shows the gap.
 """
 
-from __future__ import annotations
-
 import time
-from typing import NamedTuple
 
 from . import integrality, powersum
-from .powersum import InconsistencyError, PowerSumQuery
+from .powersum import InconsistencyError, PowerSumQuery, _Record, _tuple_new
 
 __all__ = ["BenchCell", "DEFAULT_CELLS", "run_bench", "speedup_estimate"]
 
@@ -32,14 +29,20 @@ DEFAULT_CELLS: tuple[tuple[int, int], ...] = (
 )
 
 
-class BenchCell(NamedTuple):
-    k: int
-    n: int
-    method: str  # "decide" | "s_mod" | "s_brute"
-    status: str  # "ok" | "infeasible"
-    elapsed_ms: float
-    integral: bool | None  # None when the method did not finish
-    est_ms: float | None  # extrapolated total when infeasible
+class BenchCell(_Record):
+    """One method timed on one (k, n) cell.
+
+    ``method`` is "decide", "s_mod" or "s_brute" and ``status`` is "ok" or
+    "infeasible"; ``integral`` is None when the method did not finish, and
+    ``est_ms`` is the extrapolated total of an infeasible cell.
+    """
+
+    __slots__ = ()
+
+    def __new__(
+        cls, k: int, n: int, method: str, status: str, elapsed_ms: float, integral: bool | None, est_ms: float | None
+    ):
+        return _tuple_new(cls, (k, n, method, status, elapsed_ms, integral, est_ms))
 
 
 def run_bench() -> list[BenchCell]:

@@ -27,8 +27,6 @@ alone: by von Staudt-Clausen, for even k the denominator of B_k in lowest
 terms is the (square-free) product of all primes p with (p-1) | k.
 """
 
-from __future__ import annotations
-
 import math
 import threading
 from functools import lru_cache
@@ -87,7 +85,7 @@ class BernoulliTable:
             f" scaled={self.scaled!r}, route={self.route!r})"
         )
 
-    def __getitem__(self, k: int) -> Fraction:
+    def __getitem__(self, k: int) -> "Fraction":
         if not 0 <= k <= self.limit:
             raise IndexError(f"index {k} outside table range 0..{self.limit}")
         from fractions import Fraction
@@ -95,7 +93,7 @@ class BernoulliTable:
         return Fraction(self.scaled[k], self.lcm)
 
     @property
-    def values(self) -> tuple[Fraction, ...]:
+    def values(self) -> "tuple[Fraction, ...]":
         """B_0..B_limit as ``Fraction`` values in lowest terms."""
         from fractions import Fraction
 

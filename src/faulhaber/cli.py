@@ -11,8 +11,6 @@ Exit codes: 0 success (and "integral" for check), 1 not integral (check
 only), 2 usage or input error or a closed stdout, 3 internal inconsistency.
 """
 
-from __future__ import annotations
-
 import argparse
 import math
 import os
@@ -46,7 +44,7 @@ def _emit(record: dict, as_json: bool, human: str) -> None:
         print(human)
 
 
-def format_rational(q: Fraction) -> str:
+def format_rational(q: "Fraction") -> str:
     """Canonical string form: plain decimal for integers, "num/den" otherwise.
 
     >>> from fractions import Fraction
@@ -60,7 +58,7 @@ def format_rational(q: Fraction) -> str:
     return f"{q.numerator}/{q.denominator}"
 
 
-def approx_decimal(q: Fraction) -> str:
+def approx_decimal(q: "Fraction") -> str:
     """Decimal approximation as a string; only ever *appended* to exact output.
 
     It keeps 12 significant digits, rounded in ``decimal`` past the normal

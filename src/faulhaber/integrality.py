@@ -28,13 +28,11 @@ directly against modular summation:
       S_k(n) mod p^a  =  -(n/p) mod p^a  when (p-1) | k.
 """
 
-from __future__ import annotations
-
 import math
 import threading
-from typing import NamedTuple
 
 from . import bernoulli, powersum, primes
+from .powersum import _Record, _tuple_new
 
 __all__ = [
     "RULE_K1",
@@ -53,7 +51,7 @@ RULE_ODD = "odd-k"
 RULE_EVEN = "even-k"
 
 
-class Verdict(NamedTuple):
+class Verdict(_Record):
     """Integrality decision plus the obstruction that justifies a "no".
 
     ``witness_primes`` is nonempty exactly for even-k failures; for the
@@ -61,10 +59,12 @@ class Verdict(NamedTuple):
     (k = 1).  An integral verdict carries no witness.
     """
 
-    integral: bool
-    rule: str
-    witness_primes: tuple[int, ...] = ()
-    witness_residue: int | None = None
+    __slots__ = ()
+
+    def __new__(
+        cls, integral: bool, rule: str, witness_primes: tuple[int, ...] = (), witness_residue: int | None = None
+    ):
+        return _tuple_new(cls, (integral, rule, witness_primes, witness_residue))
 
     def witness_text(self) -> str:
         if self.integral:
@@ -76,12 +76,13 @@ class Verdict(NamedTuple):
         return "n even"
 
 
-class ResiduePrediction(NamedTuple):
+class ResiduePrediction(_Record):
     """Predicted S_k(n) mod p^a for a prime p with p^a exactly dividing n."""
 
-    p: int
-    a: int
-    predicted: int
+    __slots__ = ()
+
+    def __new__(cls, p: int, a: int, predicted: int):
+        return _tuple_new(cls, (p, a, predicted))
 
     @property
     def modulus(self) -> int:

@@ -22,13 +22,17 @@ times the longest prefix 1..n0 <= n that it admits).  The routes themselves
 take no bound.
 """
 
-from __future__ import annotations
-
 import math
-from typing import NamedTuple
 
 # fractions is imported in mu, its one user here, as in bernoulli
 from . import bernoulli
+
+try:  # the field accessors collections.namedtuple uses, with its fallback
+    from _collections import _tuplegetter
+except ImportError:
+    from operator import itemgetter as _itemgetter
+
+    _tuplegetter = lambda index, doc: property(_itemgetter(index), doc=doc)
 
 __all__ = [
     "PowerSumQuery",
@@ -57,36 +61,74 @@ class RouteRefused(ValueError):
     """
 
 
-# the fields of PowerSumQuery, which adds the checks: a NamedTuple body may not
-# define __new__
-class _Query(NamedTuple):
-    k: int
-    n: int
+# bound once, so building a record looks nothing up
+_tuple_new = tuple.__new__
 
 
-class PowerSumQuery(_Query):
+class _Record(tuple):
+    """Base of the value records: an immutable tuple with named fields.
+
+    A record writes ``__slots__ = ()`` and a ``__new__`` whose parameters,
+    after ``cls``, are its fields in order, each annotated and with its
+    default if it has one, and which returns
+    ``_tuple_new(cls, (field, ...))``.  From that signature the base sets
+    ``_fields``, ``__match_args__``, the class ``__annotations__`` and one
+    accessor per field; it gives the ``Name(field=value, ...)`` repr,
+    ``_replace`` (through ``__new__``, so a record's checks hold for a
+    changed copy too), ``_asdict``, ``_make`` and pickling, as
+    ``typing.NamedTuple`` does.
+    """
+
+    __slots__ = ()
+
+    def __init_subclass__(cls) -> None:
+        code, annotations = cls.__new__.__code__, cls.__new__.__annotations__
+        cls._fields = cls.__match_args__ = code.co_varnames[1 : code.co_argcount]
+        cls.__annotations__ = {name: annotations[name] for name in cls._fields}
+        for i, name in enumerate(cls._fields):
+            setattr(cls, name, _tuplegetter(i, f"Alias for field number {i}"))
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={value!r}" for name, value in zip(self._fields, self))
+        return f"{type(self).__name__}({fields})"
+
+    def __getnewargs__(self) -> tuple:
+        return tuple(self)
+
+    @classmethod
+    def _make(cls, iterable):
+        return cls(*iterable)
+
+    def _replace(self, **changes):
+        record = self._make(map(changes.pop, self._fields, self))
+        if changes:
+            raise ValueError(f"Got unexpected field names: {list(changes)!r}")
+        return record
+
+    def _asdict(self) -> dict:
+        return dict(zip(self._fields, self))
+
+
+class PowerSumQuery(_Record):
     """Validated (k, n) pair for S_k(n); the single k,n sanity gate."""
 
     __slots__ = ()
 
-    def __new__(cls, k: int, n: int) -> PowerSumQuery:
+    def __new__(cls, k: int, n: int):
         if k < 1:
             raise ValueError(f"exponent k must be >= 1, got {k}")
         if n < 1:
             raise ValueError(f"upper limit n must be >= 1, got {n}")
-        return super().__new__(cls, k, n)
-
-    @classmethod
-    def _make(cls, iterable) -> PowerSumQuery:
-        # ``_replace`` builds through ``_make``, which would skip ``__new__``
-        return cls(*iterable)
+        return _tuple_new(cls, (k, n))
 
 
-class Average(NamedTuple):
+class Average(_Record):
     """Exact value of S_k(n)/n together with its integrality flag."""
 
-    value: Fraction
-    integral: bool
+    __slots__ = ()
+
+    def __new__(cls, value: "Fraction", integral: bool):
+        return _tuple_new(cls, (value, integral))
 
 
 # s_brute adds n powers one by one; past this many terms it is refused, not run

@@ -20,8 +20,6 @@ table: the selftest holds the filter against it, and the scans over small
 primes (Kummer regularity, the prime block sums) take their primes from it.
 """
 
-from __future__ import annotations
-
 import math
 from functools import cache, lru_cache
 from itertools import compress

@@ -25,14 +25,12 @@ One line per group: the route it pins, then the oracle it is held to.
 * periodicity              ``decide`` vs ``decide`` at n + 4 * ``vsc_denominator(k)``
 """
 
-from __future__ import annotations
-
 import math
 import time
-from typing import Callable, NamedTuple
+from collections.abc import Callable
 
 from . import bernoulli, integrality, powersum, primes
-from .powersum import PowerSumQuery
+from .powersum import PowerSumQuery, _Record, _tuple_new
 
 __all__ = ["InvariantViolation", "GroupResult", "GROUPS", "run_groups"]
 
@@ -41,11 +39,14 @@ class InvariantViolation(Exception):
     """An invariant group failed; the message carries the counterexample."""
 
 
-class GroupResult(NamedTuple):
-    name: str
-    passed: bool
-    detail: str
-    elapsed: float
+class GroupResult(_Record):
+    """One group's outcome: its name, whether it passed, the counterexample
+    when it did not, and its wall time in seconds."""
+
+    __slots__ = ()
+
+    def __new__(cls, name: str, passed: bool, detail: str, elapsed: float):
+        return _tuple_new(cls, (name, passed, detail, elapsed))
 
 
 def _fail(msg: str) -> None:

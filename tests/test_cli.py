@@ -684,13 +684,15 @@ def test_module_entry_point_runs(src_env):
 
 
 def test_cli_import_loads_neither_dataclasses_nor_inspect(src_env):
-    # those two were more than half of the import; selftest and bench stay
-    # eager, because the benchmark reads their import times off this import.
-    # -S keeps whatever site-packages import at start-up out of the count
+    # those two were more than half of the import; typing and __future__ go
+    # too, since the records are built on a plain tuple base.  selftest and
+    # bench stay eager, because the benchmark reads their import times off
+    # this import.  -S keeps whatever site-packages import at start-up (which
+    # can be typing itself) out of the count
     code = (
         "import sys, faulhaber.cli; "
-        "print(*sorted(m for m in ('dataclasses', 'inspect', 'faulhaber.bench', 'faulhaber.selftest')"
-        " if m in sys.modules))"
+        "print(*sorted(m for m in ('dataclasses', 'inspect', 'typing', '__future__',"
+        " 'faulhaber.bench', 'faulhaber.selftest') if m in sys.modules))"
     )
     proc = subprocess.run(
         [sys.executable, "-S", "-c", code], capture_output=True, text=True, env=src_env, timeout=120

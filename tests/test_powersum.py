@@ -1,6 +1,8 @@
 import pickle
 import sys
+import typing
 from concurrent.futures import ThreadPoolExecutor
+from copy import deepcopy
 from fractions import Fraction
 
 import pytest
@@ -123,6 +125,67 @@ def test_every_record_survives_pickle(record, field):
     copy = pickle.loads(pickle.dumps(record))
     assert type(copy) is type(record)
     assert copy == record
+
+
+# the repr and the field types (as typing.get_type_hints reads them) of each
+# value record in RECORDS, which is all of them but BernoulliTable; Average's
+# types are not read, because its "Fraction" is not bound in powersum
+SURFACES = {
+    "PowerSumQuery": ("PowerSumQuery(k=2, n=4)", {"k": int, "n": int}),
+    "Average": ("Average(value=Fraction(9, 2), integral=False)", {"value": Fraction, "integral": bool}),
+    "Verdict": (
+        "Verdict(integral=False, rule='even-k', witness_primes=(2, 3), witness_residue=None)",
+        {"integral": bool, "rule": str, "witness_primes": tuple[int, ...], "witness_residue": int | None},
+    ),
+    "ResiduePrediction": ("ResiduePrediction(p=3, a=1, predicted=1)", {"p": int, "a": int, "predicted": int}),
+    "BenchCell": (
+        "BenchCell(k=2, n=100, method='decide', status='ok', elapsed_ms=0.01, integral=True, est_ms=None)",
+        {
+            "k": int,
+            "n": int,
+            "method": str,
+            "status": str,
+            "elapsed_ms": float,
+            "integral": bool | None,
+            "est_ms": float | None,
+        },
+    ),
+    "GroupResult": (
+        "GroupResult(name='odd-vanishing', passed=True, detail='', elapsed=0.01)",
+        {"name": str, "passed": bool, "detail": str, "elapsed": float},
+    ),
+}
+
+
+@pytest.mark.parametrize(
+    "record,text,hints",
+    [pytest.param(p.values[0], *SURFACES[p.id], id=p.id) for p in RECORDS if p.id in SURFACES],
+)
+def test_every_value_record_keeps_the_named_tuple_surface(record, text, hints):
+    cls = type(record)
+    plain = tuple(record)
+    assert repr(record) == text
+    assert cls._fields == cls.__match_args__ == tuple(hints)
+    if cls is not Average:
+        assert typing.get_type_hints(cls) == hints
+    assert record == plain and hash(record) == hash(plain)
+    assert not hasattr(record, "__dict__")
+    assert record._asdict() == dict(zip(hints, plain))
+    made = cls._make(plain)
+    assert type(made) is cls and made == record
+    first = cls._fields[0]
+    changed = record._replace(**{first: plain[0] * 2})
+    assert type(changed) is cls and changed == (plain[0] * 2, *plain[1:])
+    assert record == plain  # the original is untouched
+    with pytest.raises(ValueError, match=r"^Got unexpected field names: \['nofield'\]$"):
+        record._replace(nofield=1)
+    deep = deepcopy(record)
+    assert type(deep) is cls and deep == record
+    match record:
+        case cls(a, b):
+            assert (a, b) == plain[:2]
+        case _:
+            pytest.fail(f"{cls.__name__} did not match two positional patterns")
 
 
 def test_faulhaber_inconsistency_is_loud():
