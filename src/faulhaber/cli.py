@@ -32,6 +32,9 @@ _OUTPUT_DIGIT_BOUND = 2 * 10**5
 # table builds every verdict before its first line prints (about 2 s and 60 MB
 # for 200 x 20000 cells); past this many cells it is refused
 _TABLE_CELL_BOUND = 4 * 10**6
+# table --json writes one record of about 150 bytes per cell (about 2 s and
+# 30 MB for 200 x 1000 cells); past this many cells it is refused
+_TABLE_JSON_CELL_BOUND = 2 * 10**5
 _APPROX_DIGITS = 12
 
 
@@ -194,10 +197,12 @@ def _cmd_check(args: argparse.Namespace) -> int:
 
 
 def _cmd_table(args: argparse.Namespace) -> int:
-    if min(args.kmax, args.nmax) >= 1 and args.kmax * args.nmax > _TABLE_CELL_BOUND:
+    bound = _TABLE_JSON_CELL_BOUND if args.json else _TABLE_CELL_BOUND
+    if min(args.kmax, args.nmax) >= 1 and args.kmax * args.nmax > bound:
         raise ValueError(
             f"table builds all kmax nmax verdicts before it prints and is bounded at"
-            f" kmax nmax <= {_TABLE_CELL_BOUND}; got kmax={args.kmax}, nmax={args.nmax}"
+            f" kmax nmax <= {bound}{' with --json' if args.json else ''};"
+            f" got kmax={args.kmax}, nmax={args.nmax}"
         )
     rows = integrality.grid(args.kmax, args.nmax)
     if args.json:

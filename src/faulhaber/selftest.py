@@ -10,19 +10,22 @@ One line per group: the route it pins, then the oracle it is held to.
 * factorize-roundtrip      ``factorize`` vs multiplying the factors back, n <= 10^4
 * route-equivalence        ``bernoulli_recursive`` (tangent numbers) vs ``bernoulli_egf``, B_0..B_40
 * odd-vanishing            both Bernoulli routes vs zero at odd indices 3..49
-* vsc-consistency          reduced denominators of B_k vs ``vsc_denominator``, even k <= 60
-* irregular-scan           ``is_regular`` vs the known irregular primes 37, 59, 67 below 100
+* vsc-consistency          reduced denominators of B_k vs ``vsc_denominator``, even k <= 60,
+                           each square-free by ``factorize``
+* irregular-scan           ``is_regular`` vs the known irregular primes 37, 59, 67 below 100,
+                           each with a nonempty offending tuple
 * three-route-agreement    ``s_brute`` vs ``s_faulhaber`` vs ``s_recursive``, k <= 12, n <= 60;
                            ``s_faulhaber`` both over a ``bernoulli_egf`` table and over
                            the Bernoulli memo
 * modular-consistency      ``s_mod`` vs ``s_brute`` reduced mod m, k <= 8, n <= 40, m <= 30
-* closed-form-spot         ``mu`` vs the quadratic and quartic closed forms, n <= 30
-* theorem-vs-oracle        ``decide`` vs the ``s_recursive`` residue and ``mu``, k <= 30, n <= 500
+* closed-form-spot         ``mu`` vs the closed forms at k = 1, 2, 3 and 4, n <= 30
+* theorem-vs-oracle        ``decide`` vs the ``s_recursive`` residue and ``mu``, k <= 30, n <= 500;
+                           the witness vs the reduced denominator of ``mu``: the product
+                           of the witness primes at even k, 2 for an odd-k "no", else 1
 * block-sum-residues       ``prime_block_sum`` vs p-1 or 0 by (p-1) | k, p <= 47, k <= 50
 * lemma-zero-residue       ``s_mod`` at n = p^a vs 0 when (p-1) does not divide k
-* residue-prediction       ``predict_residue`` vs the ``s_mod`` residue, n <= 200, even k <= 12
-* denominator-equivalence  ``decide`` vs ``decide`` at another k with the same denominator
-* periodicity              ``decide`` vs ``decide`` at n + 4 * ``vsc_denominator(k)``
+* residue-prediction       ``predict_residue`` vs the ``s_mod`` residue and ``factorize``'s
+                           exponent, n <= 200, even k <= 12
 """
 
 import math
@@ -49,10 +52,6 @@ class GroupResult(_Record):
         return _tuple_new(cls, (name, passed, detail, elapsed))
 
 
-def _fail(msg: str) -> None:
-    raise InvariantViolation(msg)
-
-
 # --- primes -----------------------------------------------------------
 
 
@@ -63,7 +62,7 @@ def _vsc_divisors_vs_sieve() -> None:
         want = tuple(p for p in sieved if p <= k + 1 and k % (p - 1) == 0)
         got = tuple(primes.vsc_primes(k))  # compared by value, not by sequence type
         if got != want:
-            _fail(f"divisor filter for k={k} gives {got}, the sieve {want}")
+            raise InvariantViolation(f"divisor filter for k={k} gives {got}, the sieve {want}")
 
 
 def _factorize_roundtrip() -> None:
@@ -72,12 +71,12 @@ def _factorize_roundtrip() -> None:
         f = primes.factorize(n)
         value = math.prod(p**a for p, a in f)
         if value != n:
-            _fail(f"factorization of {n} reassembles to {value}")
+            raise InvariantViolation(f"factorization of {n} reassembles to {value}")
         ps = [p for p, _ in f]
         if ps != sorted(set(ps)):
-            _fail(f"factor list for {n} not strictly ascending: {ps}")
+            raise InvariantViolation(f"factor list for {n} not strictly ascending: {ps}")
         if any(a < 1 for _, a in f):
-            _fail(f"factorization of {n} carries an exponent below 1: {f}")
+            raise InvariantViolation(f"factorization of {n} carries an exponent below 1: {f}")
 
 
 # --- bernoulli --------------------------------------------------------
@@ -88,10 +87,10 @@ def _route_equivalence() -> None:
     rec = bernoulli.bernoulli_recursive(top)
     egf = bernoulli.bernoulli_egf(top)
     if (rec.route, egf.route) != ("recursive", "egf"):
-        _fail(f"tables labelled {rec.route!r} and {egf.route!r}, expected 'recursive' and 'egf'")
+        raise InvariantViolation(f"tables labelled {rec.route!r} and {egf.route!r}, expected 'recursive' and 'egf'")
     for k in range(top + 1):
         if rec[k] != egf[k]:
-            _fail(f"routes disagree at index {k}: {rec[k]} vs {egf[k]}")
+            raise InvariantViolation(f"routes disagree at index {k}: {rec[k]} vs {egf[k]}")
 
 
 def _odd_vanishing() -> None:
@@ -100,7 +99,7 @@ def _odd_vanishing() -> None:
     egf = bernoulli.bernoulli_egf(2 * mtop + 1)
     for m in range(1, mtop + 1):
         if rec[2 * m + 1] != 0 or egf[2 * m + 1] != 0:
-            _fail(f"odd-index value B_{2 * m + 1} is nonzero")
+            raise InvariantViolation(f"odd-index value B_{2 * m + 1} is nonzero")
 
 
 def _vsc_consistency() -> None:
@@ -109,7 +108,10 @@ def _vsc_consistency() -> None:
     for k in range(2, top + 1, 2):
         d = bernoulli.vsc_denominator(k)
         if table[k].denominator != d:
-            _fail(f"denominator of B_{k} is {table[k].denominator}, prime product {d}")
+            raise InvariantViolation(f"denominator of B_{k} is {table[k].denominator}, prime product {d}")
+        f = primes.factorize(d)
+        if any(a != 1 for _, a in f) or math.prod(p for p, _ in f) != d:
+            raise InvariantViolation(f"denominator {d} of B_{k} is not square-free: {f}")
 
 
 def _irregular_scan() -> None:
@@ -118,11 +120,13 @@ def _irregular_scan() -> None:
     for p in primes.sieve(top - 1):
         if p < 5:
             continue
-        regular, _ = bernoulli.is_regular(p)
+        regular, offending = bernoulli.is_regular(p)
         if not regular:
             found.add(p)
+            if not offending:
+                raise InvariantViolation(f"irregular prime {p} names no offending numerator index")
     if found != expected:
-        _fail(f"irregular primes below {top}: {sorted(found)}, expected {sorted(expected)}")
+        raise InvariantViolation(f"irregular primes below {top}: {sorted(found)}, expected {sorted(expected)}")
 
 
 # --- power sums -------------------------------------------------------
@@ -139,7 +143,7 @@ def _three_route_agreement() -> None:
             f = powersum.s_faulhaber(q, table)
             m = powersum.s_faulhaber(q)  # over the memo
             if not (b == f == m == rec[k - 1]):
-                _fail(f"routes disagree at k={k}, n={n}: {b}, {f}, {m}, {rec[k - 1]}")
+                raise InvariantViolation(f"routes disagree at k={k}, n={n}: {b}, {f}, {m}, {rec[k - 1]}")
 
 
 def _modular_consistency() -> None:
@@ -150,18 +154,22 @@ def _modular_consistency() -> None:
             exact = powersum.s_brute(q)
             for m in range(2, mtop + 1):
                 if powersum.s_mod(q, m) != exact % m:
-                    _fail(f"modular sum wrong at k={k}, n={n}, m={m}")
+                    raise InvariantViolation(f"modular sum wrong at k={k}, n={n}, m={m}")
 
 
 def _closed_form_spot() -> None:
     ntop = 30
     for n in range(1, ntop + 1):
-        m2 = powersum.mu(PowerSumQuery(k=2, n=n)).value
-        if m2 * 6 != (n + 1) * (2 * n + 1):
-            _fail(f"quadratic average closed form fails at n={n}")
-        m4 = powersum.mu(PowerSumQuery(k=4, n=n)).value
-        if m4 * 30 != (n + 1) * (2 * n + 1) * (3 * n * n + 3 * n - 1):
-            _fail(f"quartic average closed form fails at n={n}")
+        # k -> (c, c mu_k(n)), each c mu_k(n) an integer polynomial in n
+        forms = {
+            1: (2, n + 1),
+            2: (6, (n + 1) * (2 * n + 1)),
+            3: (4, n * (n + 1) ** 2),
+            4: (30, (n + 1) * (2 * n + 1) * (3 * n * n + 3 * n - 1)),
+        }
+        for k, (c, want) in forms.items():
+            if powersum.mu(PowerSumQuery(k=k, n=n)).value * c != want:
+                raise InvariantViolation(f"closed form of the average fails at k={k}, n={n}")
 
 
 # --- integrality ------------------------------------------------------
@@ -172,13 +180,21 @@ def _theorem_vs_oracle() -> None:
     for n in range(1, ntop + 1):
         sums = powersum.s_recursive(ktop, n)  # every S_k(n), k <= ktop, in one pass
         for k in range(1, ktop + 1):
-            by_rule = integrality.decide(k, n).integral
+            verdict = integrality.decide(k, n)
             by_residue = sums[k - 1] % n == 0
-            by_average = powersum.mu(PowerSumQuery(k=k, n=n)).integral
-            if not (by_rule == by_residue == by_average):
-                _fail(
+            average = powersum.mu(PowerSumQuery(k=k, n=n))
+            if not (verdict.integral == by_residue == average.integral):
+                raise InvariantViolation(
                     f"verdict disagreement at k={k}, n={n}: "
-                    f"rule={by_rule}, residue={by_residue}, average={by_average}"
+                    f"rule={verdict.integral}, residue={by_residue}, average={average.integral}"
+                )
+            # the witness primes make up the whole reduced denominator of the
+            # average; an odd-k "no" leaves exactly 2 there
+            den = math.prod(verdict.witness_primes) if k % 2 == 0 else (1 if verdict.integral else 2)
+            if average.value.denominator != den:
+                raise InvariantViolation(
+                    f"witness at k={k}, n={n} gives denominator {den}, "
+                    f"the average has {average.value.denominator}"
                 )
 
 
@@ -189,7 +205,7 @@ def _block_sum_residues() -> None:
             got = integrality.prime_block_sum(p, k)
             want = p - 1 if k % (p - 1) == 0 else 0
             if got != want:
-                _fail(f"block sum at p={p}, k={k} is {got}, expected {want}")
+                raise InvariantViolation(f"block sum at p={p}, k={k} is {got}, expected {want}")
 
 
 def _lemma_zero_residue() -> None:
@@ -201,47 +217,23 @@ def _lemma_zero_residue() -> None:
                     continue
                 pa = p**a
                 if powersum.s_mod(PowerSumQuery(k=k, n=pa), pa) != 0:
-                    _fail(f"prime-power block sum nonzero at p={p}, a={a}, k={k}")
+                    raise InvariantViolation(f"prime-power block sum nonzero at p={p}, a={a}, k={k}")
 
 
 def _residue_prediction() -> None:
     ktop, ntop = 12, 200
     for n in range(2, ntop + 1):
-        for p, _a in primes.factorize(n):
+        for p, a in primes.factorize(n):
             for k in range(2, ktop + 1, 2):
                 pred = integrality.predict_residue(k, n, p)
+                if pred.a != a:
+                    raise InvariantViolation(f"prediction at k={k}, n={n}, p={p} takes a={pred.a}, not {a}")
                 got = powersum.s_mod(PowerSumQuery(k=k, n=n), pred.modulus)
                 if got != pred.predicted:
-                    _fail(
+                    raise InvariantViolation(
                         f"residue prediction wrong at k={k}, n={n}, p={p}: "
                         f"predicted {pred.predicted}, got {got}"
                     )
-
-
-def _denominator_equivalence() -> None:
-    ktop, ntop = 40, 200
-    by_den: dict[int, list[int]] = {}
-    for k in range(2, ktop + 1, 2):
-        by_den.setdefault(bernoulli.vsc_denominator(k), []).append(k)
-    for den, ks in by_den.items():
-        first = ks[0]
-        for k in ks[1:]:
-            for n in range(1, ntop + 1):
-                if integrality.decide(first, n) != integrality.decide(k, n):
-                    _fail(
-                        f"k={first} and k={k} share denominator {den} "
-                        f"but disagree at n={n}"
-                    )
-
-
-def _periodicity() -> None:
-    ks = (2, 4, 6, 8, 10, 12)
-    ntop = 100
-    for k in ks:
-        period = 4 * bernoulli.vsc_denominator(k)
-        for n in range(1, ntop + 1):
-            if integrality.decide(k, n) != integrality.decide(k, n + period):
-                _fail(f"verdict not {period}-periodic at k={k}, n={n}")
 
 
 GROUPS: list[tuple[str, Callable[[], None]]] = [
@@ -258,8 +250,6 @@ GROUPS: list[tuple[str, Callable[[], None]]] = [
     ("block-sum-residues", _block_sum_residues),
     ("lemma-zero-residue", _lemma_zero_residue),
     ("residue-prediction", _residue_prediction),
-    ("denominator-equivalence", _denominator_equivalence),
-    ("periodicity", _periodicity),
 ]
 
 

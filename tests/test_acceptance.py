@@ -5,19 +5,24 @@ explicit pass lines).  Every check is exact -- there are no numeric
 tolerances anywhere, only wall-clock budgets.
 """
 
-import math
 import time
 from fractions import Fraction
 
-from faulhaber import bench, bernoulli, primes
-from faulhaber.bernoulli import bernoulli_egf, bernoulli_recursive, vsc_denominator
-from faulhaber.integrality import decide, predict_residue, prime_block_sum
-from faulhaber.powersum import PowerSumQuery, mu, s_brute, s_faulhaber, s_mod, s_recursive
-from faulhaber.primes import factorize, sieve
+from faulhaber import bench, bernoulli, primes, selftest
+from faulhaber.bernoulli import bernoulli_egf, bernoulli_recursive
+from faulhaber.integrality import decide
+from faulhaber.powersum import PowerSumQuery, s_mod
 
 
 def announce(num, elapsed, budget, desc):
     print(f"criterion {num:02d} PASS ({elapsed:.3f}s <= {budget}s): {desc}")
+
+
+def run_group(name):
+    """Run the selftest group that states a criterion; return its wall time."""
+    start = time.perf_counter()
+    dict(selftest.GROUPS)[name]()  # raises InvariantViolation naming the counterexample
+    return time.perf_counter() - start
 
 
 def test_criterion_01_bernoulli_ground_truth():
@@ -31,25 +36,12 @@ def test_criterion_01_bernoulli_ground_truth():
 
 
 def test_criterion_02_odd_indices_vanish():
-    start = time.perf_counter()
-    rec = bernoulli_recursive(49)
-    egf = bernoulli_egf(49)
-    for m in range(1, 25):
-        assert rec[2 * m + 1] == 0
-        assert egf[2 * m + 1] == 0
-    announce(2, time.perf_counter() - start, float("inf"), "odd-index values are exactly zero")
+    elapsed = run_group("odd-vanishing")
+    announce(2, elapsed, float("inf"), "odd-index values are exactly zero")
 
 
 def test_criterion_03_denominator_prime_product():
-    start = time.perf_counter()
-    table = bernoulli_recursive(60)
-    for k in range(2, 61, 2):
-        d = vsc_denominator(k)
-        assert table[k].denominator == d
-        f = factorize(d)
-        assert all(a == 1 for _, a in f)  # square-free
-        assert math.prod(p**a for p, a in f) == d
-    elapsed = time.perf_counter() - start
+    elapsed = run_group("vsc-consistency")
     assert elapsed < 10.0
     announce(3, elapsed, 10.0, "reduced denominators equal the square-free prime product")
 
@@ -70,49 +62,22 @@ def test_criterion_04_decision_rule_vs_brute_force():
 
 
 def test_criterion_05_block_sum_congruence_table():
-    start = time.perf_counter()
-    for p in sieve(47):
-        for k in range(1, 51):
-            expected = p - 1 if k % (p - 1) == 0 else 0
-            assert prime_block_sum(p, k) == expected
-    announce(5, time.perf_counter() - start, float("inf"), "block sums are -1 or 0 mod p as classified")
+    elapsed = run_group("block-sum-residues")
+    announce(5, elapsed, float("inf"), "block sums are -1 or 0 mod p as classified")
 
 
 def test_criterion_06_residue_predictions():
-    start = time.perf_counter()
-    for n in range(2, 201):
-        for p, a in factorize(n):
-            for k in range(2, 13, 2):
-                pred = predict_residue(k, n, p)
-                assert pred.a == a
-                assert s_mod(PowerSumQuery(k=k, n=n), pred.modulus) == pred.predicted
-    announce(6, time.perf_counter() - start, float("inf"), "prime-power residues match the prediction")
+    elapsed = run_group("residue-prediction")
+    announce(6, elapsed, float("inf"), "prime-power residues match the prediction")
 
 
 def test_criterion_07_closed_forms():
-    start = time.perf_counter()
-    for n in range(1, 31):
-        assert mu(PowerSumQuery(k=1, n=n)).value == Fraction(n + 1, 2)
-        assert mu(PowerSumQuery(k=2, n=n)).value == Fraction((n + 1) * (2 * n + 1), 6)
-        assert mu(PowerSumQuery(k=3, n=n)).value == Fraction(n * (n + 1) ** 2, 4)
-        assert mu(PowerSumQuery(k=4, n=n)).value == Fraction(
-            (n + 1) * (2 * n + 1) * (3 * n * n + 3 * n - 1), 30
-        )
-    announce(7, time.perf_counter() - start, float("inf"), "averages match the quartic-and-below closed forms")
+    elapsed = run_group("closed-form-spot")
+    announce(7, elapsed, float("inf"), "averages match the quartic-and-below closed forms")
 
 
 def test_criterion_08_irregular_primes_below_100():
-    start = time.perf_counter()
-    irregular = set()
-    for p in sieve(99):
-        if p < 5:
-            continue
-        regular, offending = bernoulli.is_regular(p)
-        if not regular:
-            irregular.add(p)
-            assert offending  # a concrete numerator index witnesses it
-    elapsed = time.perf_counter() - start
-    assert irregular == {37, 59, 67}
+    elapsed = run_group("irregular-scan")
     assert elapsed < 30.0
     announce(8, elapsed, 30.0, "irregular primes below 100 are exactly 37, 59, 67")
 
@@ -140,11 +105,5 @@ def test_criterion_09_decision_beats_summation():
 
 
 def test_criterion_10_three_route_agreement():
-    start = time.perf_counter()
-    table = bernoulli_recursive(12)
-    for n in range(1, 61):
-        rec = s_recursive(12, n)
-        for k in range(1, 13):
-            q = PowerSumQuery(k=k, n=n)
-            assert s_brute(q) == s_faulhaber(q, table) == rec[k - 1]
-    announce(10, time.perf_counter() - start, float("inf"), "all three summation routes agree on the grid")
+    elapsed = run_group("three-route-agreement")
+    announce(10, elapsed, float("inf"), "all three summation routes agree on the grid")

@@ -428,18 +428,24 @@ def ran_grid(kmax, nmax):
     raise GridRan(kmax, nmax)
 
 
-@pytest.mark.parametrize("argv", [["4000001", "1"], ["200", "20001"], ["1", "10000000000"]])
+# --json writes about 150 bytes a cell, so it has its own bound of 200000 cells
+@pytest.mark.parametrize(
+    "argv", [["4000001", "1"], ["200", "20001"], ["1", "10000000000"], ["200", "1001", "--json"]]
+)
 def test_table_past_its_cell_bound_exits_2_before_any_verdict(capsys, monkeypatch, argv):
     monkeypatch.setattr(faulhaber.integrality, "grid", ran_grid)
     code, out, err = run_cli(capsys, "table", *argv)
     assert code == 2
     assert out == ""
-    assert "bounded at kmax nmax <= 4000000" in err
+    bound = "200000 with --json" if "--json" in argv else "4000000"
+    assert f"bounded at kmax nmax <= {bound};" in err
 
 
-@pytest.mark.parametrize("argv", [["200", "20000"], ["1", "4000000"], ["0", "10000000000"]])
+@pytest.mark.parametrize(
+    "argv", [["200", "20000"], ["1", "4000000"], ["0", "10000000000"], ["200", "1000", "--json"]]
+)
 def test_table_cell_bound_admits_up_to_4000000_cells(capsys, monkeypatch, argv):
-    # a kmax or nmax below 1 is left to grid's own check
+    # a kmax or nmax below 1 is left to grid's own check; --json admits 200000
     monkeypatch.setattr(faulhaber.integrality, "grid", ran_grid)
     with pytest.raises(GridRan):
         main(["table", *argv])
@@ -510,7 +516,7 @@ def test_selftest_quick(capsys):
     # the one selftest, every group at its full range, takes about a second
     code, out, _ = run_cli(capsys, "selftest")
     assert code == 0
-    assert "all 15 invariant groups passed" in out
+    assert "all 13 invariant groups passed" in out
 
 
 def test_selftest_has_no_quick_option(capsys):
@@ -525,7 +531,7 @@ def test_selftest_json(capsys):
     assert code == 0
     records = [json.loads(line) for line in out.splitlines()]
     summary = records[-1]
-    assert summary == {"command": "selftest-summary", "groups": "15", "failed": "0"}
+    assert summary == {"command": "selftest-summary", "groups": "13", "failed": "0"}
 
 
 def test_selftest_names_injected_fault(capsys, monkeypatch):

@@ -268,7 +268,9 @@ def test_witness_text_forms():
 
 def check_decide_at_large_n():
     """``integrality.decide`` against ``mu`` through the closed form, at k <= 200
-    and n up to about 10^40, and for even k its witness against gcd(n, D_k).
+    and n up to about 10^40: the verdict against ``mu``'s flag, and the witness
+    against the reduced denominator of ``mu``'s value, which is the product of
+    the witness primes at even k, 2 for an odd-k "no" and 1 otherwise.
     About half the draws are made a multiple of a prime of D_k (of 2 at odd k)."""
     hypothesis = pytest.importorskip("hypothesis")
     st = hypothesis.strategies
@@ -286,9 +288,10 @@ def check_decide_at_large_n():
     def check(kn):
         k, n = kn
         verdict = integrality.decide(k, n)
-        assert verdict.integral == mu(PowerSumQuery(k=k, n=n)).integral, (k, n)
-        if k % 2 == 0:
-            assert math.prod(verdict.witness_primes) == math.gcd(n, vsc_denominator(k)), (k, n)
+        average = mu(PowerSumQuery(k=k, n=n))
+        assert verdict.integral == average.integral, (k, n)
+        den = math.prod(verdict.witness_primes) if k % 2 == 0 else (1 if verdict.integral else 2)
+        assert average.value.denominator == den, (k, n)
 
     check()
 

@@ -5,13 +5,14 @@ import pkgutil
 import pytest
 
 import faulhaber
-from faulhaber import bernoulli, powersum, primes, selftest
+from faulhaber import bernoulli, integrality, powersum, primes, selftest
 
 vsc_primes = primes.vsc_primes
 s_brute = powersum.s_brute
 s_recursive = powersum.s_recursive
 mu = powersum.mu
 bernoulli_recursive = bernoulli.bernoulli_recursive
+decide = integrality.decide
 
 
 @pytest.mark.parametrize("check", [c for _, c in selftest.GROUPS], ids=[n for n, _ in selftest.GROUPS])
@@ -28,11 +29,24 @@ def memo_off_by_x_to_the_k_plus_1(limit):
     return bernoulli.BernoulliTable(t.limit, t.lcm, scaled, t.route)
 
 
+class MisKeyed(dict):
+    # a verdict stored under g + 2: g misses every time, and an odd g finds the
+    # verdict of g - 2 once that one is stored, right in yes/no, wrong in witness
+    def setdefault(self, g, verdict):
+        return super().setdefault(g + 2, verdict)
+
+
+def last_witness_dropped(k, n):
+    v = decide(k, n)
+    return v._replace(witness_primes=v.witness_primes[:-1]) if len(v.witness_primes) > 1 else v
+
+
 # One fault per property the prime filter, s_brute, the Bernoulli memo behind
 # s_faulhaber, s_recursive and mu must keep: the filter sorted, repeat-free,
 # holding 3 and monotone in k; s_brute summing every term, exactly; the closed
 # form over the memo summing exactly; the recurrence's residue and mu's flag
-# agreeing with the rule.
+# agreeing with the rule; the witness primes making up the whole denominator
+# of the average, whether decide walks them or its cache hands them back.
 FAULTS = [
     pytest.param("vsc-divisors-vs-sieve", primes, "vsc_primes",
                  lambda k: vsc_primes(k)[::-1], id="unsorted"),
@@ -56,6 +70,8 @@ FAULTS = [
     pytest.param("theorem-vs-oracle", powersum, "s_recursive",
                  lambda kmax, n: [s + 3 * ((k, n) == (4, 9)) for k, s in enumerate(s_recursive(kmax, n), 1)],
                  id="s_recursive-residue-at-(4,9)"),
+    pytest.param("theorem-vs-oracle", integrality, "_even_no", MisKeyed(), id="verdict-cached-under-g+2"),
+    pytest.param("theorem-vs-oracle", integrality, "decide", last_witness_dropped, id="last-witness-dropped"),
 ]
 
 
