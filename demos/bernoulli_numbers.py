@@ -13,7 +13,6 @@ from faulhaber import (
     vsc_denominator,
     vsc_primes,
 )
-from faulhaber.cli import format_rational
 
 K = 16
 
@@ -24,7 +23,7 @@ egf = bernoulli_egf(K)
 print(f"{'k':>3}  {'recurrence':>16}  {'series division':>16}")
 for k in range(K + 1):
     agree = "" if rec[k] == egf[k] else "  <-- DISAGREE"
-    print(f"{k:>3}  {format_rational(rec[k]):>16}  {format_rational(egf[k]):>16}{agree}")
+    print(f"{k:>3}  {rec[k]!s:>16}  {egf[k]!s:>16}{agree}")
 print()
 
 print("Denominators from the prime filter alone (no rational arithmetic)")

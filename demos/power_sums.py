@@ -14,7 +14,6 @@ from faulhaber import (
     s_mod,
     s_recursive,
 )
-from faulhaber.cli import format_rational
 
 print("Three routes, one answer")
 print("------------------------")
@@ -43,7 +42,7 @@ print("---------------------------------------------")
 for k, n in [(1, 3), (1, 4), (2, 5), (2, 6), (3, 2), (4, 7)]:
     avg = mu(PowerSumQuery(k=k, n=n))
     note = "integer" if avg.integral else "not an integer"
-    print(f"  average of first {n} {k}-th powers = {format_rational(avg.value):>6}  ({note})")
+    print(f"  average of first {n} {k}-th powers = {avg.value!s:>6}  ({note})")
 print()
 
 print("Residues without the giant sum")

@@ -21,7 +21,7 @@ import sys
 from . import bench, bernoulli, integrality, powersum, primes, selftest
 from .powersum import InconsistencyError, PowerSumQuery
 
-__all__ = ["main", "entry", "format_rational", "approx_decimal"]
+__all__ = ["main", "entry", "approx_decimal"]
 
 # bern --verify also builds the series-division oracle, about 3 s at this k
 _VERIFY_K_BOUND = 512
@@ -45,20 +45,6 @@ def _emit(record: dict, as_json: bool, human: str) -> None:
         print(json.dumps(record))
     else:
         print(human)
-
-
-def format_rational(q: "Fraction") -> str:
-    """Canonical string form: plain decimal for integers, "num/den" otherwise.
-
-    >>> from fractions import Fraction
-    >>> format_rational(Fraction(-1, 30))
-    '-1/30'
-    >>> format_rational(Fraction(0))
-    '0'
-    """
-    if q.denominator == 1:
-        return str(q.numerator)
-    return f"{q.numerator}/{q.denominator}"
 
 
 def approx_decimal(q: "Fraction") -> str:
@@ -113,8 +99,8 @@ def _cmd_bern(args: argparse.Namespace) -> int:
         raise ValueError(f"bern --verify is bounded at k <= {_VERIFY_K_BOUND}; got k={args.k}")
     table = bernoulli.bernoulli_recursive(args.k)
     value = table[args.k]
-    record = {"command": "bern", "k": str(args.k), "value": format_rational(value)}
-    human = format_rational(value)
+    record = {"command": "bern", "k": str(args.k), "value": str(value)}
+    human = str(value)
     if args.verify:
         other = bernoulli.bernoulli_egf(args.k)
         if other.values != table.values:
@@ -164,12 +150,12 @@ def _cmd_avg(args: argparse.Namespace) -> int:
         "k": str(args.k),
         "n": str(args.n),
         "route": args.route,
-        "value": format_rational(value),
+        "value": str(value),
         "integral": value.denominator == 1,
     }
     if args.route == "all":
         record["routes_agree"] = True
-    human = format_rational(value)
+    human = str(value)
     if args.approx:
         record["approx"] = approx_decimal(value)
         human += f" ≈ {record['approx']}"

@@ -152,8 +152,6 @@ def prime_block_sum(p: int, k: int) -> int:
     This is the checkable side of the congruence the even rule rests on:
     the result is p - 1 when (p-1) | k and 0 otherwise.
     """
-    if k < 1:
-        raise ValueError(f"exponent k must be >= 1, got {k}")
     if not primes.is_prime(p):
         raise ValueError(f"p must be prime, got {p}")
     return powersum.s_mod(powersum.PowerSumQuery(k=k, n=p), p)

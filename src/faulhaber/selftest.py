@@ -8,8 +8,8 @@ One line per group: the route it pins, then the oracle it is held to.
                            candidates up in the least-factor table, the sieve runs its
                            own Eratosthenes loop (the tests hold the table to trial division)
 * factorize-roundtrip      ``factorize`` vs multiplying the factors back, n <= 10^4
-* route-equivalence        ``bernoulli_recursive`` (tangent numbers) vs ``bernoulli_egf``, B_0..B_40
-* odd-vanishing            both Bernoulli routes vs zero at odd indices 3..49
+* route-equivalence        ``bernoulli_recursive`` (tangent numbers) vs ``bernoulli_egf``, B_0..B_49,
+                           and both vs zero at odd indices 3..49
 * vsc-consistency          reduced denominators of B_k vs ``vsc_denominator``, even k <= 60,
                            each square-free by ``factorize``
 * irregular-scan           ``is_regular`` vs the known irregular primes 37, 59, 67 below 100,
@@ -22,8 +22,9 @@ One line per group: the route it pins, then the oracle it is held to.
 * theorem-vs-oracle        ``decide`` vs the ``s_recursive`` residue and ``mu``, k <= 30, n <= 500;
                            the witness vs the reduced denominator of ``mu``: the product
                            of the witness primes at even k, 2 for an odd-k "no", else 1
-* block-sum-residues       ``prime_block_sum`` vs p-1 or 0 by (p-1) | k, p <= 47, k <= 50
-* lemma-zero-residue       ``s_mod`` at n = p^a vs 0 when (p-1) does not divide k
+* block-sum-residues       ``prime_block_sum`` vs p-1 or 0 by (p-1) | k, p <= 47, k <= 50;
+                           its lift, ``s_mod`` at n = p^a vs 0 when (p-1) does not divide k,
+                           p in {3, 5}, a in {2, 3}, k <= 20
 * residue-prediction       ``predict_residue`` vs the ``s_mod`` residue and ``factorize``'s
                            exponent, n <= 200, even k <= 12
 """
@@ -83,7 +84,7 @@ def _factorize_roundtrip() -> None:
 
 
 def _route_equivalence() -> None:
-    top = 40
+    top = 49
     rec = bernoulli.bernoulli_recursive(top)
     egf = bernoulli.bernoulli_egf(top)
     if (rec.route, egf.route) != ("recursive", "egf"):
@@ -91,15 +92,8 @@ def _route_equivalence() -> None:
     for k in range(top + 1):
         if rec[k] != egf[k]:
             raise InvariantViolation(f"routes disagree at index {k}: {rec[k]} vs {egf[k]}")
-
-
-def _odd_vanishing() -> None:
-    mtop = 24
-    rec = bernoulli.bernoulli_recursive(2 * mtop + 1)
-    egf = bernoulli.bernoulli_egf(2 * mtop + 1)
-    for m in range(1, mtop + 1):
-        if rec[2 * m + 1] != 0 or egf[2 * m + 1] != 0:
-            raise InvariantViolation(f"odd-index value B_{2 * m + 1} is nonzero")
+        if k >= 3 and k % 2 and rec[k] != 0:  # the routes agree here, so one stands for both
+            raise InvariantViolation(f"odd-index value B_{k} is nonzero: {rec[k]}")
 
 
 def _vsc_consistency() -> None:
@@ -206,18 +200,12 @@ def _block_sum_residues() -> None:
             want = p - 1 if k % (p - 1) == 0 else 0
             if got != want:
                 raise InvariantViolation(f"block sum at p={p}, k={k} is {got}, expected {want}")
-
-
-def _lemma_zero_residue() -> None:
-    ktop = 20
-    for p in (2, 3, 5):
-        for a in (1, 2, 3):
-            for k in range(1, ktop + 1):
-                if k % (p - 1) == 0:
-                    continue
-                pa = p**a
-                if powersum.s_mod(PowerSumQuery(k=k, n=pa), pa) != 0:
-                    raise InvariantViolation(f"prime-power block sum nonzero at p={p}, a={a}, k={k}")
+    # the lift to p^a; at p = 2 every k is divisible by p - 1, and a = 1 is the loop above
+    for p in (3, 5):
+        for pa in (p**2, p**3):
+            for k in range(1, 21):
+                if k % (p - 1) and powersum.s_mod(PowerSumQuery(k=k, n=pa), pa) != 0:
+                    raise InvariantViolation(f"block sum of {pa} terms at k={k} is nonzero mod {pa}")
 
 
 def _residue_prediction() -> None:
@@ -240,7 +228,6 @@ GROUPS: list[tuple[str, Callable[[], None]]] = [
     ("vsc-divisors-vs-sieve", _vsc_divisors_vs_sieve),
     ("factorize-roundtrip", _factorize_roundtrip),
     ("route-equivalence", _route_equivalence),
-    ("odd-vanishing", _odd_vanishing),
     ("vsc-consistency", _vsc_consistency),
     ("irregular-scan", _irregular_scan),
     ("three-route-agreement", _three_route_agreement),
@@ -248,7 +235,6 @@ GROUPS: list[tuple[str, Callable[[], None]]] = [
     ("closed-form-spot", _closed_form_spot),
     ("theorem-vs-oracle", _theorem_vs_oracle),
     ("block-sum-residues", _block_sum_residues),
-    ("lemma-zero-residue", _lemma_zero_residue),
     ("residue-prediction", _residue_prediction),
 ]
 

@@ -1,9 +1,13 @@
+import contextlib
+import io
+import json
 import os
 import pathlib
 
 import pytest
 
 from faulhaber import bernoulli
+from faulhaber.cli import main
 
 SRC = pathlib.Path(__file__).resolve().parent.parent / "src"
 
@@ -13,6 +17,16 @@ def src_env():
     """Environment for a child interpreter that imports faulhaber from this checkout."""
     path = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
     return {**os.environ, "PYTHONPATH": path}
+
+
+@pytest.fixture(scope="session")
+def bench_report():
+    """The records of one default ``bench --json`` run (about 1.5 s), shared
+    by every test that reads the report."""
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        assert main(["bench", "--json"]) == 0
+    return [json.loads(line) for line in out.getvalue().splitlines()]
 
 
 @pytest.fixture

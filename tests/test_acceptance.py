@@ -1,14 +1,18 @@
 """Acceptance gate: every shipping criterion, one test each, stated budgets.
 
 Run with ``pytest tests/test_acceptance.py -v`` (add ``-s`` to see the
-explicit pass lines).  Every check is exact -- there are no numeric
+explicit pass lines).  Criteria 02, 03, 05-08 and 10 are each stated by one
+selftest group, so they pass where that group does; every group runs here
+once, at its full range.  Every check is exact -- there are no numeric
 tolerances anywhere, only wall-clock budgets.
 """
 
 import time
 from fractions import Fraction
 
-from faulhaber import bench, bernoulli, primes, selftest
+import pytest
+
+from faulhaber import bernoulli, primes, selftest
 from faulhaber.bernoulli import bernoulli_egf, bernoulli_recursive
 from faulhaber.integrality import decide
 from faulhaber.powersum import PowerSumQuery, s_mod
@@ -18,11 +22,27 @@ def announce(num, elapsed, budget, desc):
     print(f"criterion {num:02d} PASS ({elapsed:.3f}s <= {budget}s): {desc}")
 
 
-def run_group(name):
-    """Run the selftest group that states a criterion; return its wall time."""
+# the criterion a selftest group states: its number, budget in seconds and pass line
+CRITERIA = {
+    "route-equivalence": (2, float("inf"), "odd-index values are exactly zero"),
+    "vsc-consistency": (3, 10.0, "reduced denominators equal the square-free prime product"),
+    "block-sum-residues": (5, float("inf"), "block sums are -1 or 0 mod p as classified"),
+    "residue-prediction": (6, float("inf"), "prime-power residues match the prediction"),
+    "closed-form-spot": (7, float("inf"), "averages match the quartic-and-below closed forms"),
+    "irregular-scan": (8, 30.0, "irregular primes below 100 are exactly 37, 59, 67"),
+    "three-route-agreement": (10, float("inf"), "all three summation routes agree on the grid"),
+}
+
+
+@pytest.mark.parametrize("name,check", selftest.GROUPS, ids=[name for name, _ in selftest.GROUPS])
+def test_group_holds_at_full_range(name, check):
     start = time.perf_counter()
-    dict(selftest.GROUPS)[name]()  # raises InvariantViolation naming the counterexample
-    return time.perf_counter() - start
+    check()  # raises InvariantViolation naming the counterexample
+    elapsed = time.perf_counter() - start
+    if name in CRITERIA:
+        num, budget, desc = CRITERIA[name]
+        assert elapsed < budget
+        announce(num, elapsed, budget, desc)
 
 
 def test_criterion_01_bernoulli_ground_truth():
@@ -33,17 +53,6 @@ def test_criterion_01_bernoulli_ground_truth():
     elapsed = time.perf_counter() - start
     assert elapsed < 1.0
     announce(1, elapsed, 1.0, "first five values exact on both routes")
-
-
-def test_criterion_02_odd_indices_vanish():
-    elapsed = run_group("odd-vanishing")
-    announce(2, elapsed, float("inf"), "odd-index values are exactly zero")
-
-
-def test_criterion_03_denominator_prime_product():
-    elapsed = run_group("vsc-consistency")
-    assert elapsed < 10.0
-    announce(3, elapsed, 10.0, "reduced denominators equal the square-free prime product")
 
 
 def test_criterion_04_decision_rule_vs_brute_force():
@@ -61,28 +70,7 @@ def test_criterion_04_decision_rule_vs_brute_force():
     announce(4, elapsed, 60.0, "15000 verdicts agree with divisibility of the exact sum")
 
 
-def test_criterion_05_block_sum_congruence_table():
-    elapsed = run_group("block-sum-residues")
-    announce(5, elapsed, float("inf"), "block sums are -1 or 0 mod p as classified")
-
-
-def test_criterion_06_residue_predictions():
-    elapsed = run_group("residue-prediction")
-    announce(6, elapsed, float("inf"), "prime-power residues match the prediction")
-
-
-def test_criterion_07_closed_forms():
-    elapsed = run_group("closed-form-spot")
-    announce(7, elapsed, float("inf"), "averages match the quartic-and-below closed forms")
-
-
-def test_criterion_08_irregular_primes_below_100():
-    elapsed = run_group("irregular-scan")
-    assert elapsed < 30.0
-    announce(8, elapsed, 30.0, "irregular primes below 100 are exactly 37, 59, 67")
-
-
-def test_criterion_09_decision_beats_summation():
+def test_criterion_09_decision_beats_summation(bench_report):
     # time the cold path, prime filter included
     bernoulli.vsc_denominator.cache_clear()
     primes.vsc_primes.cache_clear()
@@ -93,17 +81,10 @@ def test_criterion_09_decision_beats_summation():
     assert not verdict.integral
     assert verdict.witness_primes == (2, 5)
 
-    results = bench.run_bench()
-    smod = next(c for c in results if c.method == "s_mod" and (c.k, c.n) == (1000, 10**9))
-    if smod.status == "ok":
-        assert smod.elapsed_ms > 1000 * (decide_s * 1000)
-    else:
-        assert smod.est_ms > 1000 * (decide_s * 1000)
-    gap = bench.speedup_estimate(results)
-    assert gap[:2] == (1000, 10**9) and gap[2] > 1000
-    announce(9, decide_s, 0.1, f"verdict in {decide_s * 1000:.2f} ms; summation gap ~{gap[2]:.0f}x")
-
-
-def test_criterion_10_three_route_agreement():
-    elapsed = run_group("three-route-agreement")
-    announce(10, elapsed, float("inf"), "all three summation routes agree on the grid")
+    *cells, summary = bench_report
+    smod = next(r for r in cells if (r["method"], r["k"], r["n"]) == ("s_mod", "1000", str(10**9)))
+    smod_ms = smod["ms"] if smod["status"] == "ok" else smod["est_ms"]
+    assert smod_ms > 1000 * (decide_s * 1000)
+    gap = summary["speedup"]
+    assert (summary["k"], summary["n"]) == ("1000", str(10**9)) and gap > 1000
+    announce(9, decide_s, 0.1, f"verdict in {decide_s * 1000:.2f} ms; summation gap ~{gap:.0f}x")

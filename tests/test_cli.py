@@ -1,7 +1,5 @@
 import argparse
 import ast
-import contextlib
-import io
 import json
 import os
 import pathlib
@@ -12,14 +10,15 @@ from decimal import Decimal, localcontext
 from fractions import Fraction
 
 import pytest
+from test_selftest import corrupt_egf
 
 import faulhaber.bernoulli
 import faulhaber.integrality
 import faulhaber.powersum
 import faulhaber.primes
-from faulhaber import bench, selftest
-from faulhaber.bernoulli import BernoulliTable, bernoulli_recursive
-from faulhaber.cli import approx_decimal, build_parser, format_rational, main
+from faulhaber import bench
+from faulhaber.bernoulli import bernoulli_recursive
+from faulhaber.cli import approx_decimal, build_parser, main
 from faulhaber.primes import vsc_primes
 
 
@@ -27,25 +26,6 @@ def run_cli(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
-
-
-def corrupt_egf(limit):
-    # B_limit + 1: L added to L B_limit over the table's common denominator L
-    t = bernoulli_recursive(limit)
-    return BernoulliTable(limit, t.lcm, (*t.scaled[:-1], t.scaled[-1] + t.lcm), "egf")
-
-
-def test_format_rational():
-    assert format_rational(Fraction(-1, 30)) == "-1/30"
-    assert format_rational(Fraction(0)) == "0"
-    assert format_rational(Fraction(9, 2)) == "9/2"
-    assert format_rational(Fraction(10, 5)) == "2"
-
-
-def test_approx_decimal_is_a_string():
-    s = approx_decimal(Fraction(-1, 30))
-    assert isinstance(s, str)
-    assert s.startswith("-0.033")
 
 
 @pytest.mark.parametrize(
@@ -100,14 +80,7 @@ def test_bern_past_its_k_bound_exits_2_before_any_work(capsys, monkeypatch, argv
 def test_bern_past_the_verify_bound_runs_without_verify(capsys):
     code, out, _ = run_cli(capsys, "bern", "600")
     assert code == 0
-    assert out == format_rational(bernoulli_recursive(600)[600]) + "\n"
-
-
-def test_bern_has_no_cap_option(capsys):
-    with pytest.raises(SystemExit) as exc:
-        main(["bern", "4", "--cap", "600"])
-    assert exc.value.code == 2
-    assert capsys.readouterr().out == ""
+    assert out == str(bernoulli_recursive(600)[600]) + "\n"
 
 
 def test_bern_negative_index_fails(capsys):
@@ -451,14 +424,6 @@ def test_table_cell_bound_admits_up_to_4000000_cells(capsys, monkeypatch, argv):
         main(["table", *argv])
 
 
-def test_table_flag_form(capsys):
-    # kmax and nmax are positional only
-    with pytest.raises(SystemExit) as exc:
-        main(["table", "--kmax", "2"])
-    assert exc.value.code == 2
-    assert capsys.readouterr().out == ""
-
-
 def test_table_json_cells(capsys):
     _, out, _ = run_cli(capsys, "table", "2", "3", "--json")
     records = [json.loads(line) for line in out.splitlines()]
@@ -473,14 +438,14 @@ def test_cli_is_a_thin_adapter(capsys):
     # byte-identical to direct library calls on the same inputs
     table = bernoulli_recursive(8)
     _, out, _ = run_cli(capsys, "bern", "8")
-    assert out == format_rational(table[8]) + "\n"
+    assert out == str(table[8]) + "\n"
 
     q = faulhaber.powersum.PowerSumQuery(k=5, n=9)
     _, out, _ = run_cli(capsys, "sum", "5", "9")
     assert out == str(faulhaber.powersum.s_faulhaber(q)) + "\n"
 
     _, out, _ = run_cli(capsys, "avg", "5", "9")
-    assert out == format_rational(Fraction(faulhaber.powersum.s_faulhaber(q), 9)) + "\n"
+    assert out == str(Fraction(faulhaber.powersum.s_faulhaber(q), 9)) + "\n"
 
 
 def test_option_strings_of_every_subcommand_are_pinned():
@@ -506,24 +471,31 @@ def test_option_strings_of_every_subcommand_are_pinned():
     }
 
 
-def test_usage_error_exits_2():
+# argparse refuses each before any handler runs; the options that do exist
+# are pinned above, and kmax and nmax of table are positional only
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["check", "2"],
+        ["bern", "4", "--cap", "600"],
+        ["selftest", "--quick"],
+        ["bench", "--budget-ms", "500"],
+        ["table", "--kmax", "2"],
+    ],
+    ids=["missing-n", "bern-cap", "selftest-quick", "bench-budget-ms", "table-kmax-flag"],
+)
+def test_usage_error_exits_2(capsys, argv):
     with pytest.raises(SystemExit) as exc:
-        main(["check", "2"])
+        main(argv)
     assert exc.value.code == 2
+    assert capsys.readouterr().out == ""
 
 
 def test_selftest_quick(capsys):
     # the one selftest, every group at its full range, takes about a second
     code, out, _ = run_cli(capsys, "selftest")
     assert code == 0
-    assert "all 13 invariant groups passed" in out
-
-
-def test_selftest_has_no_quick_option(capsys):
-    with pytest.raises(SystemExit) as exc:
-        main(["selftest", "--quick"])
-    assert exc.value.code == 2
-    assert capsys.readouterr().out == ""
+    assert "all 11 invariant groups passed" in out
 
 
 def test_selftest_json(capsys):
@@ -531,16 +503,12 @@ def test_selftest_json(capsys):
     assert code == 0
     records = [json.loads(line) for line in out.splitlines()]
     summary = records[-1]
-    assert summary == {"command": "selftest-summary", "groups": "13", "failed": "0"}
+    assert summary == {"command": "selftest-summary", "groups": "11", "failed": "0"}
 
 
 def test_selftest_names_injected_fault(capsys, monkeypatch):
-    # corrupt the series route; the route-equivalence group must call it out
+    # corrupt the series route; selftest exits 3 and names the group that fails
     monkeypatch.setattr(faulhaber.bernoulli, "bernoulli_egf", corrupt_egf)
-    results = selftest.run_groups()
-    failed = [r.name for r in results if not r.passed]
-    assert "route-equivalence" in failed
-
     code, out, _ = run_cli(capsys, "selftest")
     assert code == 3
     assert "route-equivalence" in out
@@ -613,15 +581,6 @@ def test_bench_runs_s_mod_only_on_the_terms_its_bound_admits(monkeypatch):
     assert calls[-1][1] == 10**6  # of the 10^9 terms at k = 1000
 
 
-@pytest.fixture(scope="module")
-def bench_report():
-    # one default run (about 1.5 s) serves every test that reads the report
-    out = io.StringIO()
-    with contextlib.redirect_stdout(out):
-        assert main(["bench", "--json"]) == 0
-    return [json.loads(line) for line in out.getvalue().splitlines()]
-
-
 def test_bench_report(bench_report):
     summary = bench_report[-1]
     assert summary["command"] == "bench-summary"
@@ -659,13 +618,6 @@ def test_bench_calls_infeasible_exactly_the_brute_calls_the_cli_refuses(
         assert (r["status"] == "infeasible") == (code == 2), (r, err)
     assert {r["status"] for r in cells} == {"ok", "infeasible"}
     assert summed == [(int(r["k"]), int(r["n"])) for r in cells if r["status"] == "ok"]
-
-
-def test_bench_has_no_budget_option(capsys):
-    with pytest.raises(SystemExit) as exc:
-        main(["bench", "--budget-ms", "500"])
-    assert exc.value.code == 2
-    assert capsys.readouterr().out == ""
 
 
 def test_readme_cli_block_names_only_existing_options():

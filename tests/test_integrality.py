@@ -3,6 +3,7 @@ import sys
 import threading
 
 import pytest
+from test_selftest import MisKeyed
 
 from faulhaber import bernoulli, integrality, primes
 from faulhaber.bernoulli import vsc_denominator
@@ -336,12 +337,6 @@ def test_decide_is_periodic_in_n_at_offsets_near_10_to_the_30():
 
 
 def test_periodicity_property_catches_a_verdict_cached_under_a_wrong_g(monkeypatch):
-    class MisKeyed(dict):
-        # a verdict stored under g + 2: g misses every time, and an odd g
-        # finds the verdict of g - 2 once that one is stored
-        def setdefault(self, g, verdict):
-            return super().setdefault(g + 2, verdict)
-
     monkeypatch.setattr(integrality, "_even_no", MisKeyed())
     with pytest.raises(AssertionError):
         check_decide_is_periodic_in_n()

@@ -106,7 +106,7 @@ RECORDS = [
     pytest.param(ResiduePrediction(p=3, a=1, predicted=1), "predicted", id="ResiduePrediction"),
     pytest.param(BernoulliTable(4, 30, (30, -15, 5, 0, -1), "recursive"), "lcm", id="BernoulliTable"),
     pytest.param(BenchCell(2, 100, "decide", "ok", 0.01, True, None), "status", id="BenchCell"),
-    pytest.param(GroupResult("odd-vanishing", True, "", 0.01), "passed", id="GroupResult"),
+    pytest.param(GroupResult("route-equivalence", True, "", 0.01), "passed", id="GroupResult"),
 ]
 
 
@@ -151,7 +151,7 @@ SURFACES = {
         },
     ),
     "GroupResult": (
-        "GroupResult(name='odd-vanishing', passed=True, detail='', elapsed=0.01)",
+        "GroupResult(name='route-equivalence', passed=True, detail='', elapsed=0.01)",
         {"name": str, "passed": bool, "detail": str, "elapsed": float},
     ),
 }

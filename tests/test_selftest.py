@@ -9,15 +9,11 @@ from faulhaber import bernoulli, integrality, powersum, primes, selftest
 
 vsc_primes = primes.vsc_primes
 s_brute = powersum.s_brute
+s_mod = powersum.s_mod
 s_recursive = powersum.s_recursive
 mu = powersum.mu
 bernoulli_recursive = bernoulli.bernoulli_recursive
 decide = integrality.decide
-
-
-@pytest.mark.parametrize("check", [c for _, c in selftest.GROUPS], ids=[n for n, _ in selftest.GROUPS])
-def test_group_holds_at_full_range(check):
-    check()  # raises InvariantViolation naming the counterexample
 
 
 def memo_off_by_x_to_the_k_plus_1(limit):
@@ -27,6 +23,23 @@ def memo_off_by_x_to_the_k_plus_1(limit):
     t = bernoulli_recursive(limit)
     scaled = (t.scaled[0] + t.lcm * (limit + 1), *t.scaled[1:])
     return bernoulli.BernoulliTable(t.limit, t.lcm, scaled, t.route)
+
+
+def corrupt_egf(limit):
+    # B_limit + 1: L added to L B_limit over the table's common denominator L
+    t = bernoulli_recursive(limit)
+    return bernoulli.BernoulliTable(limit, t.lcm, (*t.scaled[:-1], t.scaled[-1] + t.lcm), "egf")
+
+
+class B45PlusOne(bernoulli.BernoulliTable):
+    # every table both routes build, B_45 + 1 in those that reach it: the two
+    # routes still agree, so only the odd-index zeros can see it
+    __slots__ = ()
+
+    def __init__(self, limit, lcm, scaled, route):
+        if limit >= 45:
+            scaled = (*scaled[:45], scaled[45] + lcm, *scaled[46:])
+        super().__init__(limit, lcm, scaled, route)
 
 
 class MisKeyed(dict):
@@ -41,12 +54,14 @@ def last_witness_dropped(k, n):
     return v._replace(witness_primes=v.witness_primes[:-1]) if len(v.witness_primes) > 1 else v
 
 
-# One fault per property the prime filter, s_brute, the Bernoulli memo behind
-# s_faulhaber, s_recursive and mu must keep: the filter sorted, repeat-free,
-# holding 3 and monotone in k; s_brute summing every term, exactly; the closed
-# form over the memo summing exactly; the recurrence's residue and mu's flag
-# agreeing with the rule; the witness primes making up the whole denominator
-# of the average, whether decide walks them or its cache hands them back.
+# One fault per property the prime filter, the Bernoulli routes, s_brute, the
+# Bernoulli memo behind s_faulhaber, s_recursive, s_mod and mu must keep: the
+# filter sorted, repeat-free, holding 3 and monotone in k; the routes agreeing
+# and zero at odd indices; s_brute summing every term, exactly; the closed form
+# over the memo summing exactly; a block of p^a terms summing to 0 mod p^a; the
+# recurrence's residue and mu's flag agreeing with the rule; the witness primes
+# making up the whole denominator of the average, whether decide walks them or
+# its cache hands them back.
 FAULTS = [
     pytest.param("vsc-divisors-vs-sieve", primes, "vsc_primes",
                  lambda k: vsc_primes(k)[::-1], id="unsorted"),
@@ -57,12 +72,17 @@ FAULTS = [
     # 5 is kept at k = 4 and dropped at k = 12
     pytest.param("vsc-divisors-vs-sieve", primes, "vsc_primes",
                  lambda k: [p for p in vsc_primes(k) if not (p == 5 and k % 3 == 0)], id="not-monotone"),
+    pytest.param("route-equivalence", bernoulli, "bernoulli_egf", corrupt_egf, id="egf-last-value-plus-1"),
+    pytest.param("route-equivalence", bernoulli, "BernoulliTable", B45PlusOne, id="B_45-plus-1-on-both-routes"),
     pytest.param("three-route-agreement", powersum, "s_brute",
                  lambda q: s_brute(q) - q.n**q.k, id="no-last-term"),
     pytest.param("three-route-agreement", bernoulli, "bernoulli_recursive",
                  memo_off_by_x_to_the_k_plus_1, id="memo-off-by-x^(k+1)"),
     pytest.param("modular-consistency", powersum, "s_brute",
                  lambda q: s_brute(q) + (q.n == 7), id="off-by-one-at-7"),
+    # 125 = 5^3 with 4 not dividing any odd k
+    pytest.param("block-sum-residues", powersum, "s_mod",
+                 lambda q, m: s_mod(q, m) + (q.n == 125 and q.k % 2 == 1), id="s_mod-plus-1-at-125-odd-k"),
     pytest.param("theorem-vs-oracle", powersum, "mu",
                  lambda q: mu(q)._replace(integral=mu(q).integral != ((q.k, q.n) == (4, 9))),
                  id="flipped-mu"),
