@@ -3,10 +3,11 @@ import io
 import json
 import os
 import pathlib
+import time
 
 import pytest
 
-from faulhaber import bernoulli
+from faulhaber import bernoulli, selftest
 from faulhaber.cli import main
 
 SRC = pathlib.Path(__file__).resolve().parent.parent / "src"
@@ -27,6 +28,24 @@ def bench_report():
     with contextlib.redirect_stdout(out):
         assert main(["bench", "--json"]) == 0
     return [json.loads(line) for line in out.getvalue().splitlines()]
+
+
+@pytest.fixture(scope="session")
+def group_elapsed():
+    """Run a selftest group at its full range, once per session, and return
+    its wall time in seconds; the selftest test and the criterion it states
+    both read that one run."""
+    checks = dict(selftest.GROUPS)
+    elapsed = {}
+
+    def run(name):
+        if name not in elapsed:
+            start = time.perf_counter()
+            checks[name]()  # raises InvariantViolation naming the counterexample
+            elapsed[name] = time.perf_counter() - start
+        return elapsed[name]
+
+    return run
 
 
 @pytest.fixture

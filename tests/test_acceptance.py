@@ -2,17 +2,15 @@
 
 Run with ``pytest tests/test_acceptance.py -v`` (add ``-s`` to see the
 explicit pass lines).  Criteria 02, 03, 05-08 and 10 are each stated by one
-selftest group, so they pass where that group does; every group runs here
-once, at its full range.  Every check is exact -- there are no numeric
-tolerances anywhere, only wall-clock budgets.
+selftest group, so they pass on that group's one full-range run of the
+session, which ``tests/test_selftest.py`` shares.  Every check is exact --
+there are no numeric tolerances anywhere, only wall-clock budgets.
 """
 
 import time
 from fractions import Fraction
 
-import pytest
-
-from faulhaber import bernoulli, primes, selftest
+from faulhaber import bernoulli, primes
 from faulhaber.bernoulli import bernoulli_egf, bernoulli_recursive
 from faulhaber.integrality import decide
 from faulhaber.powersum import PowerSumQuery, s_mod
@@ -22,27 +20,12 @@ def announce(num, elapsed, budget, desc):
     print(f"criterion {num:02d} PASS ({elapsed:.3f}s <= {budget}s): {desc}")
 
 
-# the criterion a selftest group states: its number, budget in seconds and pass line
-CRITERIA = {
-    "route-equivalence": (2, float("inf"), "odd-index values are exactly zero"),
-    "vsc-consistency": (3, 10.0, "reduced denominators equal the square-free prime product"),
-    "block-sum-residues": (5, float("inf"), "block sums are -1 or 0 mod p as classified"),
-    "residue-prediction": (6, float("inf"), "prime-power residues match the prediction"),
-    "closed-form-spot": (7, float("inf"), "averages match the quartic-and-below closed forms"),
-    "irregular-scan": (8, 30.0, "irregular primes below 100 are exactly 37, 59, 67"),
-    "three-route-agreement": (10, float("inf"), "all three summation routes agree on the grid"),
-}
-
-
-@pytest.mark.parametrize("name,check", selftest.GROUPS, ids=[name for name, _ in selftest.GROUPS])
-def test_group_holds_at_full_range(name, check):
-    start = time.perf_counter()
-    check()  # raises InvariantViolation naming the counterexample
-    elapsed = time.perf_counter() - start
-    if name in CRITERIA:
-        num, budget, desc = CRITERIA[name]
-        assert elapsed < budget
-        announce(num, elapsed, budget, desc)
+def group_criterion(group_elapsed, name, num, desc, budget=float("inf")):
+    """Pass a criterion that one selftest group states, on that group's one
+    full-range run."""
+    elapsed = group_elapsed(name)
+    assert elapsed < budget
+    announce(num, elapsed, budget, desc)
 
 
 def test_criterion_01_bernoulli_ground_truth():
@@ -53,6 +36,15 @@ def test_criterion_01_bernoulli_ground_truth():
     elapsed = time.perf_counter() - start
     assert elapsed < 1.0
     announce(1, elapsed, 1.0, "first five values exact on both routes")
+
+
+def test_criterion_02_odd_indices_vanish(group_elapsed):
+    group_criterion(group_elapsed, "route-equivalence", 2, "odd-index values are exactly zero")
+
+
+def test_criterion_03_denominator_prime_product(group_elapsed):
+    group_criterion(group_elapsed, "vsc-consistency", 3,
+                    "reduced denominators equal the square-free prime product", budget=10.0)
 
 
 def test_criterion_04_decision_rule_vs_brute_force():
@@ -68,6 +60,23 @@ def test_criterion_04_decision_rule_vs_brute_force():
     assert mismatches == 0
     assert elapsed < 60.0
     announce(4, elapsed, 60.0, "15000 verdicts agree with divisibility of the exact sum")
+
+
+def test_criterion_05_block_sum_congruence_table(group_elapsed):
+    group_criterion(group_elapsed, "block-sum-residues", 5, "block sums are -1 or 0 mod p as classified")
+
+
+def test_criterion_06_residue_predictions(group_elapsed):
+    group_criterion(group_elapsed, "residue-prediction", 6, "prime-power residues match the prediction")
+
+
+def test_criterion_07_closed_forms(group_elapsed):
+    group_criterion(group_elapsed, "closed-form-spot", 7, "averages match the quartic-and-below closed forms")
+
+
+def test_criterion_08_irregular_primes_below_100(group_elapsed):
+    group_criterion(group_elapsed, "irregular-scan", 8,
+                    "irregular primes below 100 are exactly 37, 59, 67", budget=30.0)
 
 
 def test_criterion_09_decision_beats_summation(bench_report):
@@ -88,3 +97,7 @@ def test_criterion_09_decision_beats_summation(bench_report):
     gap = summary["speedup"]
     assert (summary["k"], summary["n"]) == ("1000", str(10**9)) and gap > 1000
     announce(9, decide_s, 0.1, f"verdict in {decide_s * 1000:.2f} ms; summation gap ~{gap:.0f}x")
+
+
+def test_criterion_10_three_route_agreement(group_elapsed):
+    group_criterion(group_elapsed, "three-route-agreement", 10, "all three summation routes agree on the grid")

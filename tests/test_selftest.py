@@ -16,6 +16,11 @@ bernoulli_recursive = bernoulli.bernoulli_recursive
 decide = integrality.decide
 
 
+@pytest.mark.parametrize("name", [n for n, _ in selftest.GROUPS])
+def test_group_holds_at_full_range(name, group_elapsed):
+    group_elapsed(name)
+
+
 def memo_off_by_x_to_the_k_plus_1(limit):
     # L (k+1) added to L B_0 of the table cut from the memo at k moves S_k(n)
     # by exactly x^(k+1), x = n + 1, so the division stays exact and only the
