@@ -3,11 +3,10 @@ import io
 import json
 import os
 import pathlib
-import time
 
 import pytest
 
-from faulhaber import bernoulli, selftest
+from faulhaber import bernoulli, powersum, selftest
 from faulhaber.cli import main
 
 SRC = pathlib.Path(__file__).resolve().parent.parent / "src"
@@ -21,31 +20,36 @@ def src_env():
 
 
 @pytest.fixture(scope="session")
-def bench_report():
+def bench_s_mod_calls():
+    """The (k, terms, m) of every ``s_mod`` call of the session's one bench
+    run, recorded by ``bench_report``."""
+    return []
+
+
+@pytest.fixture(scope="session")
+def bench_report(bench_s_mod_calls):
     """The records of one default ``bench --json`` run (about 1.5 s), shared
     by every test that reads the report."""
+    s_mod = powersum.s_mod
+
+    def recording(q, m):
+        bench_s_mod_calls.append((q.k, q.n, m))
+        return s_mod(q, m)
+
     out = io.StringIO()
-    with contextlib.redirect_stdout(out):
+    with pytest.MonkeyPatch.context() as patch, contextlib.redirect_stdout(out):
+        patch.setattr(powersum, "s_mod", recording)
         assert main(["bench", "--json"]) == 0
     return [json.loads(line) for line in out.getvalue().splitlines()]
 
 
 @pytest.fixture(scope="session")
-def group_elapsed():
-    """Run a selftest group at its full range, once per session, and return
-    its wall time in seconds; the selftest test and the criterion it states
-    both read that one run."""
-    checks = dict(selftest.GROUPS)
-    elapsed = {}
-
-    def run(name):
-        if name not in elapsed:
-            start = time.perf_counter()
-            checks[name]()  # raises InvariantViolation naming the counterexample
-            elapsed[name] = time.perf_counter() - start
-        return elapsed[name]
-
-    return run
+def group_results():
+    """The results of one full ``selftest.run_groups()`` run, by group name;
+    the selftest test and the criterion a group states both read that run."""
+    results = selftest.run_groups()
+    assert [r.name for r in results] == [name for name, _ in selftest.GROUPS]
+    return {r.name: r for r in results}
 
 
 @pytest.fixture

@@ -17,15 +17,17 @@ from faulhaber.powersum import PowerSumQuery, s_mod
 
 
 def announce(num, elapsed, budget, desc):
-    print(f"criterion {num:02d} PASS ({elapsed:.3f}s <= {budget}s): {desc}")
+    limit = "" if budget is None else f" <= {budget}s"
+    print(f"criterion {num:02d} PASS ({elapsed:.3f}s{limit}): {desc}")
 
 
-def group_criterion(group_elapsed, name, num, desc, budget=float("inf")):
+def group_criterion(group_results, name, num, desc, budget=None):
     """Pass a criterion that one selftest group states, on that group's one
     full-range run."""
-    elapsed = group_elapsed(name)
-    assert elapsed < budget
-    announce(num, elapsed, budget, desc)
+    result = group_results[name]
+    assert result.passed, result.detail
+    assert budget is None or result.elapsed < budget
+    announce(num, result.elapsed, budget, desc)
 
 
 def test_criterion_01_bernoulli_ground_truth():
@@ -38,12 +40,12 @@ def test_criterion_01_bernoulli_ground_truth():
     announce(1, elapsed, 1.0, "first five values exact on both routes")
 
 
-def test_criterion_02_odd_indices_vanish(group_elapsed):
-    group_criterion(group_elapsed, "route-equivalence", 2, "odd-index values are exactly zero")
+def test_criterion_02_odd_indices_vanish(group_results):
+    group_criterion(group_results, "route-equivalence", 2, "odd-index values are exactly zero")
 
 
-def test_criterion_03_denominator_prime_product(group_elapsed):
-    group_criterion(group_elapsed, "vsc-consistency", 3,
+def test_criterion_03_denominator_prime_product(group_results):
+    group_criterion(group_results, "vsc-consistency", 3,
                     "reduced denominators equal the square-free prime product", budget=10.0)
 
 
@@ -62,20 +64,20 @@ def test_criterion_04_decision_rule_vs_brute_force():
     announce(4, elapsed, 60.0, "15000 verdicts agree with divisibility of the exact sum")
 
 
-def test_criterion_05_block_sum_congruence_table(group_elapsed):
-    group_criterion(group_elapsed, "block-sum-residues", 5, "block sums are -1 or 0 mod p as classified")
+def test_criterion_05_block_sum_congruence_table(group_results):
+    group_criterion(group_results, "block-sum-residues", 5, "block sums are -1 or 0 mod p as classified")
 
 
-def test_criterion_06_residue_predictions(group_elapsed):
-    group_criterion(group_elapsed, "residue-prediction", 6, "prime-power residues match the prediction")
+def test_criterion_06_residue_predictions(group_results):
+    group_criterion(group_results, "residue-prediction", 6, "prime-power residues match the prediction")
 
 
-def test_criterion_07_closed_forms(group_elapsed):
-    group_criterion(group_elapsed, "closed-form-spot", 7, "averages match the quartic-and-below closed forms")
+def test_criterion_07_closed_forms(group_results):
+    group_criterion(group_results, "closed-form-spot", 7, "averages match the quartic-and-below closed forms")
 
 
-def test_criterion_08_irregular_primes_below_100(group_elapsed):
-    group_criterion(group_elapsed, "irregular-scan", 8,
+def test_criterion_08_irregular_primes_below_100(group_results):
+    group_criterion(group_results, "irregular-scan", 8,
                     "irregular primes below 100 are exactly 37, 59, 67", budget=30.0)
 
 
@@ -99,5 +101,5 @@ def test_criterion_09_decision_beats_summation(bench_report):
     announce(9, decide_s, 0.1, f"verdict in {decide_s * 1000:.2f} ms; summation gap ~{gap:.0f}x")
 
 
-def test_criterion_10_three_route_agreement(group_elapsed):
-    group_criterion(group_elapsed, "three-route-agreement", 10, "all three summation routes agree on the grid")
+def test_criterion_10_three_route_agreement(group_results):
+    group_criterion(group_results, "three-route-agreement", 10, "all three summation routes agree on the grid")

@@ -13,12 +13,6 @@ from faulhaber.bernoulli import (
 from faulhaber.primes import is_prime
 
 
-def test_base_case_and_sign_convention():
-    t = bernoulli_recursive(1)
-    assert t[0] == 1
-    assert t[1] == Fraction(-1, 2)
-
-
 def test_sixth_value_both_routes():
     # denominator route confirms: primes with (p-1) | 6 are 2, 3, 7, product 42
     assert bernoulli_recursive(6)[6] == Fraction(1, 42)

@@ -16,7 +16,7 @@ import faulhaber.bernoulli
 import faulhaber.integrality
 import faulhaber.powersum
 import faulhaber.primes
-from faulhaber import bench
+from faulhaber import bench, selftest
 from faulhaber.bernoulli import bernoulli_recursive
 from faulhaber.cli import approx_decimal, build_parser, main
 from faulhaber.primes import vsc_primes
@@ -491,27 +491,53 @@ def test_usage_error_exits_2(capsys, argv):
     assert capsys.readouterr().out == ""
 
 
-def test_selftest_quick(capsys):
-    # the one selftest, every group at its full range, takes about a second
-    code, out, _ = run_cli(capsys, "selftest")
-    assert code == 0
-    assert "all 11 invariant groups passed" in out
+def planted_counterexample():
+    raise selftest.InvariantViolation("planted counterexample")
 
 
-def test_selftest_json(capsys):
-    code, out, _ = run_cli(capsys, "selftest", "--json")
-    assert code == 0
-    records = [json.loads(line) for line in out.splitlines()]
-    summary = records[-1]
-    assert summary == {"command": "selftest-summary", "groups": "11", "failed": "0"}
+# one passing and one failing stub: these tests pin the report, and every real
+# group runs once, in the acceptance gate
+STUB_GROUPS = [("stub-holds", lambda: None), ("stub-fails", planted_counterexample)]
+
+
+def run_selftest(capsys, monkeypatch, groups, *flags):
+    monkeypatch.setattr(selftest, "GROUPS", groups)
+    return run_cli(capsys, "selftest", *flags)
+
+
+def test_selftest_quick(capsys, monkeypatch):
+    code, out, _ = run_selftest(capsys, monkeypatch, STUB_GROUPS)
+    assert code == 3
+    *lines, _ = out.splitlines()
+    parts = []
+    for line in lines:  # the mark, the name and the time, then the detail on FAIL
+        name, seconds, *detail = line[5:].split(maxsplit=2)
+        assert seconds.endswith("s") and float(seconds[:-1]) >= 0
+        parts.append((line[:4], name, detail))
+    assert parts == [("ok  ", "stub-holds", []), ("FAIL", "stub-fails", ["planted counterexample"])]
+
+
+def test_selftest_json(capsys, monkeypatch):
+    code, out, _ = run_selftest(capsys, monkeypatch, STUB_GROUPS, "--json")
+    assert code == 3
+    *records, summary = [json.loads(line) for line in out.splitlines()]
+    assert [list(r) for r in records] == [["command", "group", "passed", "detail", "seconds"]] * len(STUB_GROUPS)
+    assert [(r["group"], r["passed"], r["detail"]) for r in records] == [
+        ("stub-holds", True, ""),
+        ("stub-fails", False, "planted counterexample"),
+    ]
+    assert summary == {"command": "selftest-summary", "groups": str(len(STUB_GROUPS)), "failed": "1"}
 
 
 def test_selftest_names_injected_fault(capsys, monkeypatch):
-    # corrupt the series route; selftest exits 3 and names the group that fails
-    monkeypatch.setattr(faulhaber.bernoulli, "bernoulli_egf", corrupt_egf)
-    code, out, _ = run_cli(capsys, "selftest")
+    # exit 3 names only the group that fails; without it, exit 0
+    code, out, _ = run_selftest(capsys, monkeypatch, STUB_GROUPS)
     assert code == 3
-    assert "route-equivalence" in out
+    assert out.splitlines()[-1] == f"1 of {len(STUB_GROUPS)} invariant groups FAILED: stub-fails"
+    passing = STUB_GROUPS[:1]
+    code, out, _ = run_selftest(capsys, monkeypatch, passing)
+    assert code == 0
+    assert out.splitlines()[-1] == f"all {len(passing)} invariant groups passed"
 
 
 def test_route_disagreement_exits_3(capsys, monkeypatch):
@@ -564,17 +590,8 @@ def test_bench_runs_the_library_summation(capsys, monkeypatch):
     assert "contradicts" in err
 
 
-def test_bench_runs_s_mod_only_on_the_terms_its_bound_admits(monkeypatch):
-    calls = []
-    s_mod = faulhaber.powersum.s_mod
-
-    def recording(q, m):
-        calls.append((q.k, q.n, m))
-        # a prefix's residue is never read, so it is not computed
-        return s_mod(q, m) if q.n == m else 0
-
-    monkeypatch.setattr(faulhaber.powersum, "s_mod", recording)
-    bench.run_bench()
+def test_bench_runs_s_mod_only_on_the_terms_its_bound_admits(bench_report, bench_s_mod_calls):
+    calls = bench_s_mod_calls
     assert [(k, m) for k, _, m in calls] == list(bench.DEFAULT_CELLS)
     for k, terms, m in calls:
         assert terms <= 10**6 and terms * k.bit_length() * m.bit_length() <= 3 * 10**8

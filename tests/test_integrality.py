@@ -97,27 +97,6 @@ def test_decide_validates_inputs():
         decide(2, 0)
 
 
-def test_decide_n_equals_1_always_integral():
-    for k in range(1, 20):
-        assert decide(k, 1).integral
-
-
-def test_witness_primes_divide_both_n_and_denominator():
-    for k in range(2, 21, 2):
-        d = vsc_denominator(k)
-        for n in range(1, 201):
-            v = decide(k, n)
-            if v.integral:
-                assert v.witness_primes == ()
-                assert math.gcd(n, d) == 1
-            else:
-                assert v.witness_primes
-                for p in v.witness_primes:
-                    assert n % p == 0
-                    assert d % p == 0
-                assert math.prod(v.witness_primes) == math.gcd(n, d)
-
-
 def walked_witness(k, n):
     """The witness primes found by testing every prime of k against n."""
     return tuple(p for p in primes.vsc_primes(k) if n % p == 0)

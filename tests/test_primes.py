@@ -72,10 +72,6 @@ def divisor_filter(k):
     return tuple(sorted(d + 1 for d in trial_division_divisors(k) if trial_division_is_prime(d + 1)))
 
 
-def test_sieve_small():
-    assert sieve(10) == [2, 3, 5, 7]
-
-
 def test_sieve_boundary():
     ps = sieve(2)
     assert ps == [2]
@@ -124,15 +120,6 @@ def test_is_prime_standalone():
 )
 def test_vsc_primes_known_values(k, expected):
     assert vsc_primes(k) == expected
-
-
-def test_vsc_primes_matches_direct_filter():
-    # oracle: filter primes <= k+1 by the (p-1) | k condition, trial division
-    for k in range(2, 81, 2):
-        expected = tuple(
-            p for p in range(2, k + 2) if trial_division_is_prime(p) and k % (p - 1) == 0
-        )
-        assert vsc_primes(k) == expected
 
 
 def test_vsc_primes_matches_the_divisor_filter_across_the_table_edge():

@@ -17,8 +17,8 @@ decide = integrality.decide
 
 
 @pytest.mark.parametrize("name", [n for n, _ in selftest.GROUPS])
-def test_group_holds_at_full_range(name, group_elapsed):
-    group_elapsed(name)
+def test_group_holds_at_full_range(name, group_results):
+    assert group_results[name].passed, group_results[name].detail
 
 
 def memo_off_by_x_to_the_k_plus_1(limit):
@@ -117,11 +117,15 @@ def test_a_route_inconsistency_fails_its_group_and_the_rest_still_run(monkeypatc
         scaled[2] += t.lcm
         return bernoulli.BernoulliTable(limit, 7 * t.lcm, tuple(scaled), "egf")
 
+    # the real group, then a stub that records that it still ran
+    ran = []
+    group = dict(selftest.GROUPS)["three-route-agreement"]
+    monkeypatch.setattr(selftest, "GROUPS", [("three-route-agreement", group), ("after-it", lambda: ran.append(1))])
     monkeypatch.setattr(bernoulli, "bernoulli_egf", egf_with_bad_b2)
-    results = selftest.run_groups()
-    assert [r.name for r in results] == [name for name, _ in selftest.GROUPS]
-    failed = {r.name: r.detail for r in results if not r.passed}
-    assert "closed form gave a non-integer for PowerSumQuery(k=2, n=1)" in failed["three-route-agreement"]
+    failing, after = selftest.run_groups()
+    assert (failing.name, failing.passed) == ("three-route-agreement", False)
+    assert "closed form gave a non-integer for PowerSumQuery(k=2, n=1)" in failing.detail
+    assert (after.name, after.passed, ran) == ("after-it", True, [1])
 
 
 def package_modules():
