@@ -11,13 +11,14 @@ Exit codes: 0 success (and "integral" for check), 1 not integral (check
 only), 2 usage or input error or a closed stdout, 3 internal inconsistency.
 """
 
-import argparse
 import math
 import os
 import sys
 
 # json, decimal and fractions are imported where they are used, so check,
-# denom and table without --json load only int code
+# denom and table without --json load only int code; argparse (with the
+# gettext it pulls in) is imported when main builds the parser, so a process
+# that imports this module without parsing argv does not pay for it
 from . import bench, bernoulli, integrality, powersum, primes, selftest
 from .powersum import InconsistencyError, PowerSumQuery
 
@@ -90,7 +91,7 @@ def _sum_by_route(k: int, n: int, route: str) -> int:
         ) from None
 
 
-def _cmd_bern(args: argparse.Namespace) -> int:
+def _cmd_bern(args: "argparse.Namespace") -> int:
     if args.k < 0:
         raise ValueError(f"index must be >= 0, got {args.k}")
     if args.k > powersum._FAULHABER_K_BOUND:
@@ -113,7 +114,7 @@ def _cmd_bern(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_denom(args: argparse.Namespace) -> int:
+def _cmd_denom(args: "argparse.Namespace") -> int:
     ps = primes.vsc_primes(args.k)
     d = math.prod(ps)
     record = {
@@ -126,7 +127,7 @@ def _cmd_denom(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_sum(args: argparse.Namespace) -> int:
+def _cmd_sum(args: "argparse.Namespace") -> int:
     value = _sum_by_route(args.k, args.n, args.route)
     record = {
         "command": "sum",
@@ -141,7 +142,7 @@ def _cmd_sum(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_avg(args: argparse.Namespace) -> int:
+def _cmd_avg(args: "argparse.Namespace") -> int:
     from fractions import Fraction
 
     value = Fraction(_sum_by_route(args.k, args.n, args.route), args.n)
@@ -175,14 +176,14 @@ def _verdict_record(command: str, k: int, n: int, v: integrality.Verdict) -> dic
     }
 
 
-def _cmd_check(args: argparse.Namespace) -> int:
+def _cmd_check(args: "argparse.Namespace") -> int:
     verdict = integrality.decide(args.k, args.n)
     human = "integral" if verdict.integral else f"not integral; {verdict.witness_text()}"
     _emit(_verdict_record("check", args.k, args.n, verdict), args.json, human)
     return 0 if verdict.integral else 1
 
 
-def _cmd_table(args: argparse.Namespace) -> int:
+def _cmd_table(args: "argparse.Namespace") -> int:
     bound = _TABLE_JSON_CELL_BOUND if args.json else _TABLE_CELL_BOUND
     if min(args.kmax, args.nmax) >= 1 and args.kmax * args.nmax > bound:
         raise ValueError(
@@ -208,7 +209,7 @@ def _cmd_table(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_selftest(args: argparse.Namespace) -> int:
+def _cmd_selftest(args: "argparse.Namespace") -> int:
     results = selftest.run_groups()
     failed = [r for r in results if not r.passed]
     for r in results:
@@ -237,7 +238,7 @@ def _cmd_selftest(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_bench(args: argparse.Namespace) -> int:
+def _cmd_bench(args: "argparse.Namespace") -> int:
     results = bench.run_bench()
     for c in results:
         record = {
@@ -265,7 +266,9 @@ def _cmd_bench(args: argparse.Namespace) -> int:
     return 0
 
 
-def build_parser() -> argparse.ArgumentParser:
+def build_parser() -> "argparse.ArgumentParser":
+    import argparse
+
     parser = argparse.ArgumentParser(
         prog="faulhaber",
         description="Exact Bernoulli numbers, power sums, and integrality of their averages.",

@@ -44,9 +44,12 @@ def test_criterion_02_odd_indices_vanish(group_results):
     group_criterion(group_results, "route-equivalence", 2, "odd-index values are exactly zero")
 
 
+# the budgets of criteria 03 and 08 stand about 100 times above each group's
+# cold run in a fresh process (3-10 ms on Python 3.10-3.13, 2 CPUs); after
+# the earlier groups of one run have grown the memo, they read about 1 ms
 def test_criterion_03_denominator_prime_product(group_results):
     group_criterion(group_results, "vsc-consistency", 3,
-                    "reduced denominators equal the square-free prime product", budget=10.0)
+                    "reduced denominators equal the square-free prime product", budget=1.0)
 
 
 def test_criterion_04_decision_rule_vs_brute_force():
@@ -78,7 +81,7 @@ def test_criterion_07_closed_forms(group_results):
 
 def test_criterion_08_irregular_primes_below_100(group_results):
     group_criterion(group_results, "irregular-scan", 8,
-                    "irregular primes below 100 are exactly 37, 59, 67", budget=30.0)
+                    "irregular primes below 100 are exactly 37, 59, 67", budget=1.0)
 
 
 def test_criterion_09_decision_beats_summation(bench_report):

@@ -660,20 +660,27 @@ def test_module_entry_point_runs(src_env):
 
 def test_cli_import_loads_neither_dataclasses_nor_inspect(src_env):
     # those two were more than half of the import; typing and __future__ go
-    # too, since the records are built on a plain tuple base.  selftest and
+    # too, since the records are built on a plain tuple base, and argparse
+    # (with its gettext) loads only when main builds the parser.  selftest and
     # bench stay eager, because the benchmark reads their import times off
     # this import.  -S keeps whatever site-packages import at start-up (which
     # can be typing itself) out of the count
-    code = (
-        "import sys, faulhaber.cli; "
-        "print(*sorted(m for m in ('dataclasses', 'inspect', 'typing', '__future__',"
-        " 'faulhaber.bench', 'faulhaber.selftest') if m in sys.modules))"
-    )
+    code = """
+import contextlib, io, sys, faulhaber.cli
+print(*sorted(m for m in ('dataclasses', 'inspect', 'typing', '__future__', 'argparse', 'gettext',
+                          'faulhaber.bench', 'faulhaber.selftest') if m in sys.modules))
+with contextlib.redirect_stdout(io.StringIO()):
+    code = faulhaber.cli.main(["check", "4", "7"])
+print(code, 'argparse' in sys.modules)
+"""
     proc = subprocess.run(
         [sys.executable, "-S", "-c", code], capture_output=True, text=True, env=src_env, timeout=120
     )
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.split() == ["faulhaber.bench", "faulhaber.selftest"]
+    imported, parsed = proc.stdout.splitlines()
+    assert imported.split() == ["faulhaber.bench", "faulhaber.selftest"]
+    # deferred, not removed: the first parse loads it
+    assert parsed.split() == ["0", "True"]
 
 
 # fractions imports decimal and numbers; json is the CLI's own
