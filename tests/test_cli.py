@@ -43,38 +43,17 @@ def test_approx_decimal_below_the_normal_float_range(q, expected):
     assert approx_decimal(q) == expected
 
 
-def test_bern_known_values(capsys):
-    for k, expected in [(4, "-1/30"), (3, "0"), (6, "1/42")]:
-        code, out, _ = run_cli(capsys, "bern", str(k))
-        assert code == 0
-        assert out.strip() == expected
-
-
-def test_bern_verify_route_crosscheck(capsys):
-    code, out, _ = run_cli(capsys, "bern", "10", "--verify")
-    assert code == 0
-    assert out.strip() == "5/66"
-
-
-@pytest.mark.parametrize(
-    "argv,bound_text",
-    [
-        (("bern", "2049"), "bern is bounded at k <= 2048"),
-        (("bern", "513", "--verify"), "bern --verify is bounded at k <= 512"),
-    ],
-    ids=["plain", "verify"],
-)
-def test_bern_past_its_k_bound_exits_2_before_any_work(capsys, monkeypatch, argv, bound_text):
+# the error text of each refusal below is a row of cli_transcript.jsonl; these
+# tests show that no work starts before it
+@pytest.mark.parametrize("argv", [("bern", "2049"), ("bern", "513", "--verify")], ids=["plain", "verify"])
+def test_bern_past_its_k_bound_exits_2_before_any_work(capsys, monkeypatch, argv):
     # past the bound either table would take seconds to minutes; neither may start
     def never(*args):
         raise AssertionError("a Bernoulli table was built past the k bound")
 
     monkeypatch.setattr(faulhaber.bernoulli, "bernoulli_recursive", never)
     monkeypatch.setattr(faulhaber.bernoulli, "bernoulli_egf", never)
-    code, out, err = run_cli(capsys, *argv)
-    assert code == 2
-    assert out == ""
-    assert bound_text in err
+    assert run_cli(capsys, *argv)[:2] == (2, "")
 
 
 def test_bern_past_the_verify_bound_runs_without_verify(capsys):
@@ -83,16 +62,7 @@ def test_bern_past_the_verify_bound_runs_without_verify(capsys):
     assert out == str(bernoulli_recursive(600)[600]) + "\n"
 
 
-def test_bern_negative_index_fails(capsys):
-    code, _, err = run_cli(capsys, "bern", "-3")
-    assert code == 2
-
-
 def test_bern_approx_any_magnitude(capsys):
-    code, out, _ = run_cli(capsys, "bern", "4", "--approx")
-    assert code == 0
-    assert out == "-1/30 ≈ -0.0333333333333\n"
-
     code, out, _ = run_cli(capsys, "bern", "300", "--approx")
     assert code == 0
     exact, approx = out.strip().split(" ≈ ")
@@ -101,42 +71,6 @@ def test_bern_approx_any_magnitude(capsys):
     estimate = Decimal(approx)
     assert estimate.is_finite()
     assert abs(Fraction(estimate) / value - 1) < Fraction(1, 10**11)
-
-
-def test_bern_json_round_trip(capsys):
-    code, out, _ = run_cli(capsys, "bern", "4", "--json", "--approx")
-    assert code == 0
-    record = json.loads(out)
-    assert record == json.loads(json.dumps(record))
-    assert record["command"] == "bern"
-    assert record["k"] == "4"
-    assert record["value"] == "-1/30"
-    assert record["approx"].startswith("-0.033")
-
-
-def test_json_output_is_deterministic(capsys):
-    _, first, _ = run_cli(capsys, "check", "2", "6", "--json")
-    _, second, _ = run_cli(capsys, "check", "2", "6", "--json")
-    assert first == second
-
-
-def test_denom(capsys):
-    code, out, _ = run_cli(capsys, "denom", "12")
-    assert code == 0
-    assert out.strip() == "2730"
-
-
-def test_denom_rejects_odd(capsys):
-    code, _, err = run_cli(capsys, "denom", "3")
-    assert code == 2
-    assert "even" in err
-
-
-def test_denom_json_carries_primes(capsys):
-    _, out, _ = run_cli(capsys, "denom", "12", "--json")
-    record = json.loads(out)
-    assert record["value"] == "2730"
-    assert record["primes"] == ["2", "3", "5", "7", "13"]
 
 
 def test_denom_filters_primes_once(capsys, monkeypatch):
@@ -152,13 +86,6 @@ def test_denom_filters_primes_once(capsys, monkeypatch):
     code, _, _ = run_cli(capsys, "denom", "720720")
     assert code == 0
     assert calls == [720720]
-
-
-@pytest.mark.parametrize("route", ["brute", "faulhaber", "recursive", "all"])
-def test_sum_every_route(capsys, route):
-    code, out, _ = run_cli(capsys, "sum", "2", "4", "--route", route)
-    assert code == 0
-    assert out.strip() == "30"
 
 
 def test_sum_prints_values_past_4300_digits(capsys):
@@ -182,11 +109,9 @@ def test_main_restores_the_int_digit_limit(capsys):
         sys.set_int_max_str_digits(before)
 
 
-def refused_before_any_work(k, n, routes, *needles, advice):
-    """A test that ``sum``/``avg`` k n ``--route`` r exits 2 for each r in
-    ``routes`` before any summation or Bernoulli table starts.  The error
-    holds every needle, and its advice (past the last ";") names
-    ``--route <advice>``, or, with advice None, says no route admits k, n."""
+def refused_before_any_work(k, n, routes):
+    """A test that ``sum``/``avg`` k n ``--route`` r exits 2 with empty stdout
+    for each r in ``routes`` before any summation or Bernoulli table starts."""
 
     @pytest.mark.parametrize("command", ["sum", "avg"])
     @pytest.mark.parametrize("route", routes)
@@ -197,53 +122,34 @@ def refused_before_any_work(k, n, routes, *needles, advice):
         for name in ("s_brute", "s_faulhaber", "s_recursive"):
             monkeypatch.setattr(faulhaber.powersum, name, never)
         monkeypatch.setattr(faulhaber.bernoulli, "bernoulli_recursive", never)
-        code, out, err = run_cli(capsys, command, str(k), str(n), "--route", route)
-        assert code == 2
-        assert out == ""
-        for needle in needles:
-            assert needle in err
-        tail = err.split(";")[-1]
-        if advice is None:
-            assert "no route" in tail
-            assert "--route" not in tail
-        else:
-            assert f"--route {advice}" in tail
+        assert run_cli(capsys, command, str(k), str(n), "--route", route)[:2] == (2, "")
 
     return test
 
 
 # any summation reached would be 10**30 terms of work
 test_brute_route_past_its_term_bound_exits_2_before_any_work = refused_before_any_work(
-    2, 10**30, ["brute", "all"], "bounded at n <= 1000000", advice="faulhaber"
+    2, 10**30, ["brute", "all"]
 )
 # n = 10**6 is inside the term bound, but at k = 600 the powers hold about
 # 1.2e10 bits, more than 15 s of summing
 test_brute_route_past_its_work_bound_exits_2_before_any_work = refused_before_any_work(
-    600,
-    10**6,
-    ["brute", "all"],
-    "bounded at n <= 1000000",
-    "k n (bit length of n) <= 40000000",
-    advice="faulhaber",
+    600, 10**6, ["brute", "all"]
 )
 # n = 1000 is inside the brute route's term bound; at k = 2000 the recursion
 # alone would run for minutes
 test_recursive_route_past_its_work_bound_exits_2_before_any_work = refused_before_any_work(
-    2000, 1000, ["recursive", "all"], "bounded at", "10000000000", advice="faulhaber"
+    2000, 1000, ["recursive", "all"]
 )
 # n = 2 is two terms by the brute route; at k = 8192 the Bernoulli table alone
 # would take minutes to build
 test_faulhaber_route_past_its_k_bound_exits_2_before_any_work = refused_before_any_work(
-    8192, 2, ["faulhaber", "all"], "bounded at k <= 2048", advice="brute"
+    8192, 2, ["faulhaber", "all"]
 )
 # k = 10**6 at n = 10 is inside the brute route's bounds, but the value has
 # 10**6 digits, and printing them takes more than 30 s
 test_output_past_its_digit_bound_exits_2_before_any_work = refused_before_any_work(
-    10**6,
-    10,
-    ["brute", "faulhaber", "recursive", "all"],
-    "bounded at 200000 digits",
-    advice=None,
+    10**6, 10, ["brute", "faulhaber", "recursive", "all"]
 )
 
 
@@ -282,75 +188,6 @@ def test_every_refusal_names_only_routes_the_bounds_admit(capsys, monkeypatch):
     assert refusals > 20
 
 
-def test_sum_route_all_reports_agreement(capsys):
-    _, out, _ = run_cli(capsys, "sum", "2", "4", "--route", "all", "--json")
-    record = json.loads(out)
-    assert record["routes_agree"] is True
-
-
-def test_sum_rejects_bad_bounds(capsys):
-    code, _, err = run_cli(capsys, "sum", "2", "0")
-    assert code == 2
-    assert "n must be" in err
-    code, _, err = run_cli(capsys, "avg", "0", "5")
-    assert code == 2
-    code, out, err = run_cli(capsys, "avg", "3", "0")
-    assert (code, out) == (2, "")
-    assert "n must be" in err
-
-
-def test_avg_values(capsys):
-    code, out, _ = run_cli(capsys, "avg", "1", "3")
-    assert code == 0
-    assert out.strip() == "2"
-    code, out, _ = run_cli(capsys, "avg", "3", "2")
-    assert code == 0
-    assert out.strip() == "9/2"
-
-
-def test_avg_json_integral_flag(capsys):
-    _, out, _ = run_cli(capsys, "avg", "3", "2", "--json")
-    record = json.loads(out)
-    assert record["value"] == "9/2"
-    assert record["integral"] is False
-
-
-def test_check_exit_codes_and_text(capsys):
-    code, out, _ = run_cli(capsys, "check", "2", "6")
-    assert code == 1
-    assert out.strip() == "not integral; witness primes 2,3"
-
-    code, out, _ = run_cli(capsys, "check", "3", "8")
-    assert code == 0
-    assert out.strip() == "integral"
-
-    code, out, _ = run_cli(capsys, "check", "4", "49")
-    assert code == 0
-    assert out.strip() == "integral"
-
-    code, _, _ = run_cli(capsys, "check", "0", "5")
-    assert code == 2
-
-
-def test_check_large_k_within_the_factor_bound(capsys):
-    code, out, err = run_cli(capsys, "check", "1000000000000", "6")
-    assert code == 1
-    assert out == "not integral; witness primes 2,3\n"
-    assert err == ""
-
-    code, out, _ = run_cli(capsys, "denom", "1000000000000")
-    assert code == 0
-    assert int(out) % (2 * 3 * 5 * 11) == 0  # d + 1 for d = 1, 2, 4, 10
-
-
-def test_check_k_past_the_factor_bound_exits_2(capsys):
-    # k = 2 * (10^13 + 37), and 10^13 + 37 is prime
-    code, out, err = run_cli(capsys, "check", "20000000000074", "35")
-    assert code == 2
-    assert out == ""
-    assert "trial-division bound" in err
-
-
 def test_check_past_the_candidate_bound_exits_2_before_any_candidate(capsys, monkeypatch):
     # k/2 is the product of the 25 primes up to 97, so it has 2^25 divisors:
     # listing a candidate 2m + 1 for each would take gigabytes
@@ -358,39 +195,7 @@ def test_check_past_the_candidate_bound_exits_2_before_any_candidate(capsys, mon
         raise AssertionError("a candidate was settled past the candidate bound")
 
     monkeypatch.setattr(faulhaber.primes, "is_prime", never)
-    code, out, err = run_cli(capsys, "check", "4611135927891036849506204294663512140", "6")
-    assert code == 2
-    assert out == ""
-    assert "bounded at 131072 candidates" in err
-
-
-def test_check_json_record(capsys):
-    code, out, _ = run_cli(capsys, "check", "2", "6", "--json")
-    assert code == 1
-    record = json.loads(out)
-    assert record == {
-        "command": "check",
-        "k": "2",
-        "n": "6",
-        "integral": False,
-        "rule": "even-k",
-        "witness_primes": ["2", "3"],
-        "witness_residue": None,
-    }
-
-
-def test_table_rows(capsys):
-    _, out, _ = run_cli(capsys, "table", "1", "4")
-    assert "✓ ✗ ✓ ✗" in out
-
-    _, out, _ = run_cli(capsys, "table", "3", "4")
-    k3 = [line for line in out.splitlines() if line.strip().startswith("3")]
-    assert "✓ ✗ ✓ ✓" in k3[0]
-
-    _, out, _ = run_cli(capsys, "table", "2", "3")
-    k2 = [line for line in out.splitlines() if line.strip().startswith("2")]
-    assert "✓ ✗ ✗" in k2[0]
-    assert "6" in k2[0]  # denominator column for even k
+    assert run_cli(capsys, "check", "4611135927891036849506204294663512140", "6")[:2] == (2, "")
 
 
 class GridRan(Exception):
@@ -407,11 +212,7 @@ def ran_grid(kmax, nmax):
 )
 def test_table_past_its_cell_bound_exits_2_before_any_verdict(capsys, monkeypatch, argv):
     monkeypatch.setattr(faulhaber.integrality, "grid", ran_grid)
-    code, out, err = run_cli(capsys, "table", *argv)
-    assert code == 2
-    assert out == ""
-    bound = "200000 with --json" if "--json" in argv else "4000000"
-    assert f"bounded at kmax nmax <= {bound};" in err
+    assert run_cli(capsys, "table", *argv)[:2] == (2, "")
 
 
 @pytest.mark.parametrize(
@@ -422,16 +223,6 @@ def test_table_cell_bound_admits_up_to_4000000_cells(capsys, monkeypatch, argv):
     monkeypatch.setattr(faulhaber.integrality, "grid", ran_grid)
     with pytest.raises(GridRan):
         main(["table", *argv])
-
-
-def test_table_json_cells(capsys):
-    _, out, _ = run_cli(capsys, "table", "2", "3", "--json")
-    records = [json.loads(line) for line in out.splitlines()]
-    assert len(records) == 6
-    cell = next(r for r in records if r["k"] == "2" and r["n"] == "2")
-    assert cell["integral"] is False
-    assert cell["witness_primes"] == ["2"]
-    assert cell["denominator"] == "6"
 
 
 def test_cli_is_a_thin_adapter(capsys):
@@ -653,6 +444,7 @@ def test_module_entry_point_runs(src_env):
         capture_output=True,
         text=True,
         env=src_env,
+        timeout=120,
     )
     assert proc.returncode == 0
     assert proc.stdout.strip() == "integral"
@@ -698,49 +490,27 @@ def test_cli_import_loads_no_rational_decimal_or_json(src_env):
 
 def test_int_only_commands_load_no_rational_decimal_or_json(src_env):
     # one child runs the commands in turn and reports, after each, its exit
-    # code, its stdout and which of the lazy modules are loaded by then; bern
-    # and --json come last, to show the probe sees a load when there is one
+    # code and which of the lazy modules are loaded by then; bern and --json
+    # come last, to show the probe sees a load when there is one.  What each
+    # command prints is a row of cli_transcript.jsonl
     code = f"""
 import contextlib, io, sys
 from faulhaber import cli
 for argv in (["check", "4", "7"], ["denom", "60"], ["table", "4", "8"], ["sum", "3", "10"],
              ["sum", "3", "10", "--route", "all"], ["bern", "12"], ["check", "4", "7", "--json"]):
-    out = io.StringIO()
-    with contextlib.redirect_stdout(out):
+    with contextlib.redirect_stdout(io.StringIO()):
         code = cli.main(argv)
-    loaded = [m for m in {_LAZY_MODULES!r} if m in sys.modules]
-    print(ascii((code, out.getvalue(), loaded)))
+    print((code, [m for m in {_LAZY_MODULES!r} if m in sys.modules]))
 """
     proc = subprocess.run(
         [sys.executable, "-S", "-c", code], capture_output=True, text=True, env=src_env, timeout=120
     )
     assert proc.returncode == 0, proc.stderr
-    check, denom, table, sum_, sum_all, bern, check_json = map(ast.literal_eval, proc.stdout.splitlines())
-    assert check == (0, "integral\n", [])
-    assert denom == (0, "56786730\n", [])
-    assert table == (
-        0,
-        "  k  denominator  integral for n = 1..8\n"
-        "  1            -  ✓ ✗ ✓ ✗ ✓ ✗ ✓ ✗\n"
-        "  2            6  ✓ ✗ ✗ ✗ ✓ ✗ ✓ ✗\n"
-        "  3            -  ✓ ✗ ✓ ✓ ✓ ✗ ✓ ✓\n"
-        "  4           30  ✓ ✗ ✗ ✗ ✗ ✗ ✓ ✗\n",
-        [],
-    )
+    *int_only, bern, check_json = map(ast.literal_eval, proc.stdout.splitlines())
     # the memo grows in ints, and each route of sum is int-only
-    assert sum_ == sum_all == (0, "3025\n", [])
-    assert bern[:2] == (0, "-691/2730\n")
-    assert "fractions" in bern[2] and "json" not in bern[2]
-    assert check_json[0] == 0 and "json" in check_json[2]
-    assert json.loads(check_json[1]) == {
-        "command": "check",
-        "k": "4",
-        "n": "7",
-        "integral": True,
-        "rule": "even-k",
-        "witness_primes": [],
-        "witness_residue": None,
-    }
+    assert int_only == [(0, [])] * 5
+    assert bern[0] == 0 and "fractions" in bern[1] and "json" not in bern[1]
+    assert check_json[0] == 0 and "json" in check_json[1]
 
 
 @pytest.mark.parametrize(

@@ -169,7 +169,9 @@ def test_vsc_primes_property_up_to_10_to_the_8():
 
 def test_import_leaves_the_filter_table_unbuilt(src_env):
     probe = "import faulhaber; print(faulhaber.primes._least_factors.cache_info().currsize)"
-    proc = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True, env=src_env)
+    proc = subprocess.run(
+        [sys.executable, "-c", probe], capture_output=True, text=True, env=src_env, timeout=120
+    )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "0"
 
