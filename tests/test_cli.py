@@ -198,6 +198,27 @@ def test_check_past_the_candidate_bound_exits_2_before_any_candidate(capsys, mon
     assert run_cli(capsys, "check", "4611135927891036849506204294663512140", "6")[:2] == (2, "")
 
 
+def test_check_json_record(capsys):
+    code, out, _ = run_cli(capsys, "check", "2", "6", "--json")
+    assert code == 1
+    record = json.loads(out)
+    assert record == {
+        "command": "check",
+        "k": "2",
+        "n": "6",
+        "integral": False,
+        "rule": "even-k",
+        "witness_primes": ["2", "3"],
+        "witness_residue": None,
+    }
+
+
+def test_json_output_is_deterministic(capsys):
+    _, first, _ = run_cli(capsys, "check", "2", "6", "--json")
+    _, second, _ = run_cli(capsys, "check", "2", "6", "--json")
+    assert first == second
+
+
 class GridRan(Exception):
     pass
 
