@@ -22,7 +22,7 @@ import sys
 from . import bench, bernoulli, integrality, powersum, primes, selftest
 from .powersum import InconsistencyError, PowerSumQuery
 
-__all__ = ["main", "entry", "approx_decimal"]
+__all__ = ["main", "approx_decimal"]
 
 # bern --verify also builds the series-division oracle, about 3 s at this k
 _VERIFY_K_BOUND = 512
@@ -353,9 +353,5 @@ def main(argv: list[str] | None = None) -> int:
             sys.set_int_max_str_digits(saved_limit)
 
 
-def entry() -> None:
-    sys.exit(main())
-
-
 if __name__ == "__main__":
-    entry()
+    sys.exit(main())

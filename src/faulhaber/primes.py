@@ -10,14 +10,15 @@ and settles each one below 2^16 by lookup in a 64 KB table of least prime
 factors; larger candidates go to ``is_prime``.  Each k is filtered once
 per process: its result is cached as a tuple, and later calls for the
 same k return that tuple.  Factoring and primality share one
-trial-division loop with one fixed budget, ``DEFAULT_FACTOR_BOUND``; it
-tries the primes below 2^10, read off the table, before it walks the odd
-numbers.  ``factorize`` reads the power of 2 off the bits of n and the
-factors of a cofactor below 2^16 straight off the table.  The table is
-built on the first call that needs it, never at import.  ``sieve`` lists
-the primes up to a limit by its own Eratosthenes loop, independent of the
-table: the selftest holds the filter against it, and the scans over small
-primes (Kummer regularity, the prime block sums) take their primes from it.
+trial-division walk over the odd numbers from 3, with one fixed budget,
+``DEFAULT_FACTOR_BOUND``; ``is_prime`` settles 2 and the even numbers
+before it, and reads nothing off the table.  ``factorize`` reads the power
+of 2 off the bits of n and the factors of a cofactor below 2^16 straight
+off the table.  The table is built on the first call that needs it, never
+at import.  ``sieve`` lists the primes up to a limit by its own
+Eratosthenes loop, independent of the table: the selftest holds the filter
+against it, and the scans over small primes (Kummer regularity, the prime
+block sums) take their primes from it.
 """
 
 import math
@@ -39,8 +40,6 @@ DEFAULT_FACTOR_BOUND = 10**6
 _TABLE_SIZE = 1 << 16
 # every composite below _TABLE_SIZE has a prime factor below this
 _TABLE_PRIMES_END = 1 << 8
-# trial division tries the primes below this first, read off the same table
-_TRIAL_PRIMES_END = 1 << 10
 # the filter holds one int per candidate (a divisor of k/2) at once, and at this
 # many the list alone takes about 0.3 s and 7 MB; past it the filter raises before
 # it builds the list.  No k below 10^12 has more than 6720
@@ -50,16 +49,6 @@ _CANDIDATE_BOUND = 1 << 17
 class FactorizationError(Exception):
     """Raised when a cofactor survives the trial-division budget unfactored,
     or when k has more filter candidates than the filter's bound."""
-
-
-def _eratosthenes(limit: int) -> bytearray:
-    """Flags 0..limit, where flags[n] is 1 exactly when n is prime."""
-    flags = bytearray([1]) * (limit + 1)
-    flags[0] = flags[1] = 0
-    for p in range(2, math.isqrt(limit) + 1):
-        if flags[p]:
-            flags[p * p :: p] = bytes((limit - p * p) // p + 1)
-    return flags
 
 
 @cache
@@ -79,32 +68,20 @@ def sieve(limit: int) -> list[int]:
     """
     if limit < 2:
         raise ValueError(f"sieve limit must be >= 2, got {limit}")
-    return list(compress(range(limit + 1), _eratosthenes(limit)))
+    flags = bytearray([1]) * (limit + 1)  # flags[n] is 1 exactly when n is prime
+    flags[0] = flags[1] = 0
+    for p in range(2, math.isqrt(limit) + 1):
+        if flags[p]:
+            flags[p * p :: p] = bytes((limit - p * p) // p + 1)
+    return list(compress(range(limit + 1), flags))
 
 
-@cache
-def _trial_primes() -> tuple[int, ...]:
-    table = _least_factors()
-    return tuple(c for c in range(2, _TRIAL_PRIMES_END) if not table[c])
+def _least_factor(n: int, d: int) -> int:
+    """Least divisor of odd n that is >= d (odd), given none below d.
 
-
-def _least_factor(n: int, start: int) -> int:
-    """Least divisor of n that is >= start (2 or odd), given none below it.
-
-    Tries the primes below 2^10 first, then every odd number from there.
-    Raises ``FactorizationError`` rather than try a divisor above ``DEFAULT_FACTOR_BOUND``.
+    Walks every odd number from d.  Raises ``FactorizationError`` rather
+    than try a divisor above ``DEFAULT_FACTOR_BOUND``.
     """
-    d = start
-    if d < _TRIAL_PRIMES_END:
-        for d in _trial_primes():
-            if d < start:
-                continue
-            if d * d > n:
-                return n
-            if n % d == 0:
-                return d
-        else:
-            d = _TRIAL_PRIMES_END + 1
     while d * d <= n:
         if d > DEFAULT_FACTOR_BOUND:
             # no divisor <= the bound, so n > bound^2: composite-or-unknown
@@ -121,9 +98,12 @@ def is_prime(n: int) -> bool:
     """Trial-division primality check within ``DEFAULT_FACTOR_BOUND``.
 
     Exact for n below (bound + 1)^2 and for any n with a factor up to the
-    bound; raises ``FactorizationError`` otherwise.
+    bound; raises ``FactorizationError`` otherwise.  2 and the even numbers
+    are settled first; an odd n is walked from 3, with no table.
     """
-    return n >= 2 and _least_factor(n, 2) == n
+    if n % 2 == 0:
+        return n == 2
+    return n > 1 and _least_factor(n, 3) == n
 
 
 @lru_cache(maxsize=None)

@@ -17,28 +17,19 @@ from faulhaber.primes import (
 )
 
 
-def trial_division_is_prime(n):
-    if n < 2:
-        return False
-    for d in range(2, int(math.isqrt(n)) + 1):
-        if n % d == 0:
-            return False
-    return True
-
-
 def trial_division_least_factor(n):
     return next((d for d in range(2, math.isqrt(n) + 1) if n % d == 0), n)
 
 
-PRIMES_BELOW_2_TO_THE_10 = [d for d in range(2, 1 << 10) if trial_division_is_prime(d)]
+def trial_division_is_prime(n):
+    return n >= 2 and trial_division_least_factor(n) == n
 
 
 def trial_division_factorize(n):
-    # reference, no table: try the primes below 2^10, then every odd number,
-    # and give up once a divisor past the bound would have to be tried
-    divisors = itertools.chain(PRIMES_BELOW_2_TO_THE_10, itertools.count((1 << 10) + 1, 2))
+    # reference, no table: try every number from 2, and give up once a
+    # divisor past the bound would have to be tried
     factors, r = [], n
-    for d in divisors:
+    for d in itertools.count(2):
         if d * d > r:
             if r > 1:
                 factors.append((r, 1))
@@ -93,8 +84,8 @@ def test_sieve_agrees_with_trial_division():
 
 
 def test_sieve_to_the_filter_table_edge_agrees_with_is_prime():
-    # two independent routes: the sieve's own Eratosthenes loop, and trial
-    # division (which reads its primes below 2^10 off the least-factor table)
+    # two routes that share no code: the sieve's own Eratosthenes loop, and
+    # is_prime's trial division, which reads nothing off the least-factor table
     ps = set(sieve(1 << 16))
     for n in range((1 << 16) + 1):
         assert (n in ps) == is_prime(n)
@@ -103,11 +94,6 @@ def test_sieve_to_the_filter_table_edge_agrees_with_is_prime():
 def test_sieve_rejects_small_limit():
     with pytest.raises(ValueError):
         sieve(1)
-
-
-def test_is_prime_standalone():
-    for n in range(200):
-        assert is_prime(n) == trial_division_is_prime(n)
 
 
 @pytest.mark.parametrize(
@@ -168,12 +154,18 @@ def test_vsc_primes_property_up_to_10_to_the_8():
 
 
 def test_import_leaves_the_filter_table_unbuilt(src_env):
-    probe = "import faulhaber; print(faulhaber.primes._least_factors.cache_info().currsize)"
+    # nor do is_prime, just past the table's edge and far past it, and sieve
+    probe = (
+        "import faulhaber; from faulhaber.primes import is_prime, sieve, _least_factors; "
+        "print(_least_factors.cache_info().currsize, end=' '); "
+        "is_prime(10**9 + 7); is_prime(65537); sieve(100); "
+        "print(_least_factors.cache_info().currsize)"
+    )
     proc = subprocess.run(
         [sys.executable, "-c", probe], capture_output=True, text=True, env=src_env, timeout=120
     )
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "0"
+    assert proc.stdout.strip() == "0 0"
 
 
 def test_vsc_primes_returns_the_same_tuple_on_repeat_calls():
@@ -303,7 +295,7 @@ def test_factorize_reads_powers_of_2_up_to_2_to_the_100(c):
 
 def test_is_prime_matches_trial_division_past_the_table_edge():
     for n in range((1 << 16) + 65):
-        assert (n, is_prime(n)) == (n, n >= 2 and trial_division_factorize(n) == ((n, 1),))
+        assert (n, is_prime(n)) == (n, trial_division_is_prime(n))
 
 
 def test_factorize_property_up_to_10_to_the_10():
