@@ -25,6 +25,12 @@ afresh on each call.
 ``vsc_denominator`` is a third, arithmetic-free route to the denominators
 alone: by von Staudt-Clausen, for even k the denominator of B_k in lowest
 terms is the (square-free) product of all primes p with (p-1) | k.
+
+Both table bounds live here, and each route checks its own on entry, before
+any work: ``bernoulli_recursive`` admits limit <= 2048 and
+``bernoulli_egf`` limit <= 512.  Every caller inherits them: ``s_faulhaber``
+(whose route bound in ``powersum`` reads the first), ``is_regular`` (p <=
+2051) and the CLI's ``bern``.
 """
 
 import math
@@ -43,6 +49,11 @@ __all__ = [
     "vsc_denominator",
     "is_regular",
 ]
+
+# the tangent table costs about 1.2 s cold to B_2048 and 9.3 s to B_4096 on one
+# core, and the series division about 3 s to B_512; past these limits either is refused
+_TABLE_K_BOUND = 2048
+_SERIES_K_BOUND = 512
 
 
 class BernoulliTable:
@@ -85,7 +96,7 @@ class BernoulliTable:
             f" scaled={self.scaled!r}, route={self.route!r})"
         )
 
-    def __getitem__(self, k: int) -> "Fraction":
+    def __getitem__(self, k: int):
         if not 0 <= k <= self.limit:
             raise IndexError(f"index {k} outside table range 0..{self.limit}")
         from fractions import Fraction
@@ -93,7 +104,7 @@ class BernoulliTable:
         return Fraction(self.scaled[k], self.lcm)
 
     @property
-    def values(self) -> "tuple[Fraction, ...]":
+    def values(self):
         """B_0..B_limit as ``Fraction`` values in lowest terms."""
         from fractions import Fraction
 
@@ -153,8 +164,8 @@ def bernoulli_recursive(limit: int) -> BernoulliTable:
     >>> bernoulli_recursive(12)[12] == Fraction(-691, 2730)
     True
     """
-    if limit < 0:
-        raise ValueError(f"table limit must be >= 0, got {limit}")
+    if not 0 <= limit <= _TABLE_K_BOUND:
+        raise ValueError(f"tangent table limit must be in 0..{_TABLE_K_BOUND}, got {limit}")
     with _lock:
         _extend_recursive(limit)
         lcm, scaled = _scaled_values
@@ -163,8 +174,8 @@ def bernoulli_recursive(limit: int) -> BernoulliTable:
 
 def bernoulli_egf(limit: int) -> BernoulliTable:
     """Exact table B_0..B_limit from series division of x by (e^x - 1)."""
-    if limit < 0:
-        raise ValueError(f"table limit must be >= 0, got {limit}")
+    if not 0 <= limit <= _SERIES_K_BOUND:
+        raise ValueError(f"series table limit must be in 0..{_SERIES_K_BOUND}, got {limit}")
     from fractions import Fraction
 
     # q = x / (e^x - 1) as a truncated series; with d_i = 1/(i+1)! the
@@ -201,7 +212,10 @@ def is_regular(p: int) -> tuple[bool, tuple[int, ...]]:
 
     Returns ``(True, ())`` when p divides none of the numerators of
     B_2, B_4, ..., B_{p-3}, else ``(False, offending_indices)``.
+    It builds the table to B_{p-3}, so it shares that table's bound.
     """
+    if p > _TABLE_K_BOUND + 3:
+        raise ValueError(f"is_regular builds B_0..B_(p-3) and is bounded at p <= {_TABLE_K_BOUND + 3}, got {p}")
     if p < 5 or not primes.is_prime(p):
         raise ValueError(f"regularity is defined for primes >= 5, got {p}")
     table = bernoulli_recursive(p - 3)

@@ -24,15 +24,13 @@ from .powersum import InconsistencyError, PowerSumQuery
 
 __all__ = ["main", "approx_decimal"]
 
-# bern --verify also builds the series-division oracle, about 3 s at this k
-_VERIFY_K_BOUND = 512
+# each work bound lives beside its work (the Bernoulli tables in bernoulli,
+# the routes in powersum, grid in integrality); these two bound only output
+
 # sum and avg print S_k(n) < n^(k+1) in full, at most (k+1) log10(n) + 1 digits,
 # and CPython before 3.12 turns an int into decimal digits in quadratic time
 # (about 1.3 s for 2.6e5 digits on one core); past this many, every route is refused
 _OUTPUT_DIGIT_BOUND = 2 * 10**5
-# table builds every verdict before its first line prints (about 2 s and 60 MB
-# for 200 x 20000 cells); past this many cells it is refused
-_TABLE_CELL_BOUND = 4 * 10**6
 # table --json writes one record of about 150 bytes per cell (about 2 s and
 # 30 MB for 200 x 1000 cells); past this many cells it is refused
 _TABLE_JSON_CELL_BOUND = 2 * 10**5
@@ -48,8 +46,8 @@ def _emit(record: dict, as_json: bool, human: str) -> None:
         print(human)
 
 
-def approx_decimal(q: "Fraction") -> str:
-    """Decimal approximation as a string; only ever *appended* to exact output.
+def approx_decimal(q) -> str:
+    """Decimal approximation of a Fraction q as a string; only ever *appended* to exact output.
 
     It keeps 12 significant digits, rounded in ``decimal`` past the normal
     float range, where a float would overflow, lose digits or round to 0.
@@ -91,19 +89,15 @@ def _sum_by_route(k: int, n: int, route: str) -> int:
         ) from None
 
 
-def _cmd_bern(args: "argparse.Namespace") -> int:
-    if args.k < 0:
-        raise ValueError(f"index must be >= 0, got {args.k}")
-    if args.k > powersum._FAULHABER_K_BOUND:
-        raise ValueError(f"bern is bounded at k <= {powersum._FAULHABER_K_BOUND}; got k={args.k}")
-    if args.verify and args.k > _VERIFY_K_BOUND:
-        raise ValueError(f"bern --verify is bounded at k <= {_VERIFY_K_BOUND}; got k={args.k}")
+def _cmd_bern(args) -> int:
+    # the series table has the smaller bound, so with --verify it is built
+    # first: a k past it is refused before either table starts
+    other = bernoulli.bernoulli_egf(args.k) if args.verify else None
     table = bernoulli.bernoulli_recursive(args.k)
     value = table[args.k]
     record = {"command": "bern", "k": str(args.k), "value": str(value)}
     human = str(value)
     if args.verify:
-        other = bernoulli.bernoulli_egf(args.k)
         if other.values != table.values:
             raise InconsistencyError(f"recursion and series routes disagree up to {args.k}")
         record["verified"] = True
@@ -114,7 +108,7 @@ def _cmd_bern(args: "argparse.Namespace") -> int:
     return 0
 
 
-def _cmd_denom(args: "argparse.Namespace") -> int:
+def _cmd_denom(args) -> int:
     ps = primes.vsc_primes(args.k)
     d = math.prod(ps)
     record = {
@@ -127,7 +121,7 @@ def _cmd_denom(args: "argparse.Namespace") -> int:
     return 0
 
 
-def _cmd_sum(args: "argparse.Namespace") -> int:
+def _cmd_sum(args) -> int:
     value = _sum_by_route(args.k, args.n, args.route)
     record = {
         "command": "sum",
@@ -142,7 +136,7 @@ def _cmd_sum(args: "argparse.Namespace") -> int:
     return 0
 
 
-def _cmd_avg(args: "argparse.Namespace") -> int:
+def _cmd_avg(args) -> int:
     from fractions import Fraction
 
     value = Fraction(_sum_by_route(args.k, args.n, args.route), args.n)
@@ -176,20 +170,19 @@ def _verdict_record(command: str, k: int, n: int, v: integrality.Verdict) -> dic
     }
 
 
-def _cmd_check(args: "argparse.Namespace") -> int:
+def _cmd_check(args) -> int:
     verdict = integrality.decide(args.k, args.n)
     human = "integral" if verdict.integral else f"not integral; {verdict.witness_text()}"
     _emit(_verdict_record("check", args.k, args.n, verdict), args.json, human)
     return 0 if verdict.integral else 1
 
 
-def _cmd_table(args: "argparse.Namespace") -> int:
-    bound = _TABLE_JSON_CELL_BOUND if args.json else _TABLE_CELL_BOUND
-    if min(args.kmax, args.nmax) >= 1 and args.kmax * args.nmax > bound:
+def _cmd_table(args) -> int:
+    # grid bounds its own cells; --json writes far more per cell, so it has its own bound
+    if args.json and min(args.kmax, args.nmax) >= 1 and args.kmax * args.nmax > _TABLE_JSON_CELL_BOUND:
         raise ValueError(
             f"table builds all kmax nmax verdicts before it prints and is bounded at"
-            f" kmax nmax <= {bound}{' with --json' if args.json else ''};"
-            f" got kmax={args.kmax}, nmax={args.nmax}"
+            f" kmax nmax <= {_TABLE_JSON_CELL_BOUND} with --json; got kmax={args.kmax}, nmax={args.nmax}"
         )
     rows = integrality.grid(args.kmax, args.nmax)
     if args.json:
@@ -209,7 +202,7 @@ def _cmd_table(args: "argparse.Namespace") -> int:
     return 0
 
 
-def _cmd_selftest(args: "argparse.Namespace") -> int:
+def _cmd_selftest(args) -> int:
     results = selftest.run_groups()
     failed = [r for r in results if not r.passed]
     for r in results:
@@ -238,7 +231,7 @@ def _cmd_selftest(args: "argparse.Namespace") -> int:
     return 0
 
 
-def _cmd_bench(args: "argparse.Namespace") -> int:
+def _cmd_bench(args) -> int:
     results = bench.run_bench()
     for c in results:
         record = {
@@ -266,7 +259,7 @@ def _cmd_bench(args: "argparse.Namespace") -> int:
     return 0
 
 
-def build_parser() -> "argparse.ArgumentParser":
+def build_parser():
     import argparse
 
     parser = argparse.ArgumentParser(

@@ -103,6 +103,9 @@ _EVEN_YES = Verdict(integral=True, rule=RULE_EVEN)
 # recurs is walked once more.  Lookups take no lock; inserts take one, so the
 # cache never holds more than the bound and equal g shares one verdict
 _EVEN_NO_CACHE_SIZE = 1024
+# grid builds every verdict before it returns (about 2 s and 60 MB for 200 x
+# 20000 cells); past this many cells it is refused
+_GRID_CELL_BOUND = 4 * 10**6
 _even_no: dict[int, Verdict] = {}
 _even_no_lock = threading.Lock()
 
@@ -150,11 +153,15 @@ def prime_block_sum(p: int, k: int) -> int:
     """sum_{m=1}^{p} m^k mod p, computed directly by ``powersum.s_mod``.
 
     This is the checkable side of the congruence the even rule rests on:
-    the result is p - 1 when (p-1) | k and 0 otherwise.
+    the result is p - 1 when (p-1) | k and 0 otherwise.  It sums p terms, so
+    a p past ``s_mod``'s cost bound is refused before it is tested or summed.
     """
+    q = powersum.PowerSumQuery(k=k, n=p)
+    if powersum._mod_terms(k, p, p) < p:
+        raise ValueError(f"prime_block_sum sums p terms, past s_mod's cost bound at k={k}, p={p}")
     if not primes.is_prime(p):
         raise ValueError(f"p must be prime, got {p}")
-    return powersum.s_mod(powersum.PowerSumQuery(k=k, n=p), p)
+    return powersum.s_mod(q, p)
 
 
 def predict_residue(k: int, n: int, p: int) -> ResiduePrediction:
@@ -185,7 +192,13 @@ def predict_residue(k: int, n: int, p: int) -> ResiduePrediction:
 
 
 def grid(kmax: int, nmax: int) -> list[list[Verdict]]:
-    """Verdicts for every 1 <= k <= kmax, 1 <= n <= nmax, row-per-k."""
+    """Verdicts for every 1 <= k <= kmax, 1 <= n <= nmax, row-per-k.
+
+    It builds every verdict before it returns, so it is bounded at
+    kmax nmax <= 4 * 10**6 cells and refuses past that before the first.
+    """
     if kmax < 1 or nmax < 1:
         raise ValueError("grid bounds must be >= 1")
+    if kmax * nmax > _GRID_CELL_BOUND:
+        raise ValueError(f"grid is bounded at kmax nmax <= {_GRID_CELL_BOUND} cells, got kmax={kmax}, nmax={nmax}")
     return [[decide(k, n) for n in range(1, nmax + 1)] for k in range(1, kmax + 1)]

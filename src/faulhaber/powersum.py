@@ -19,7 +19,9 @@ at k = 1, so k = 0 is rejected rather than silently extended, and n >= 1.
 Each route's cost bound lives here, next to the route, as a test on (k, n)
 read by ``s_route`` (which refuses a call past it) and by ``bench`` (which
 times the longest prefix 1..n0 <= n that it admits).  The routes themselves
-take no bound.
+take no bound, but the faulhaber route's is the Bernoulli table's: it lives
+in ``bernoulli``, which checks it when the table is built, and ``s_route``
+reads it from there.
 """
 
 import math
@@ -84,7 +86,7 @@ class _Record(tuple):
     def __init_subclass__(cls) -> None:
         code, annotations = cls.__new__.__code__, cls.__new__.__annotations__
         cls._fields = cls.__match_args__ = code.co_varnames[1 : code.co_argcount]
-        cls.__annotations__ = {name: annotations[name] for name in cls._fields}
+        cls.__annotations__ = {name: annotations[name] for name in cls._fields if name in annotations}
         for i, name in enumerate(cls._fields):
             setattr(cls, name, _tuplegetter(i, f"Alias for field number {i}"))
 
@@ -123,11 +125,11 @@ class PowerSumQuery(_Record):
 
 
 class Average(_Record):
-    """Exact value of S_k(n)/n together with its integrality flag."""
+    """Exact value of S_k(n)/n, a ``Fraction``, together with its integrality flag."""
 
     __slots__ = ()
 
-    def __new__(cls, value: "Fraction", integral: bool):
+    def __new__(cls, value, integral: bool):
         return _tuple_new(cls, (value, integral))
 
 
@@ -140,9 +142,6 @@ _BRUTE_WORK_BOUND = 4 * 10**7
 # s_recursive makes about k^2/2 big-int products of numbers that grow with k and
 # the bits of n + 1; past this estimate (about 1-2 s on one core) it is refused
 _RECURSIVE_WORK_BOUND = 10**10
-# s_faulhaber and bern first build the Bernoulli table to B_k (cold, about
-# 1.2 s to B_2048 and 9.3 s to B_4096 on one core); past this k they are refused
-_FAULHABER_K_BOUND = 2048
 # s_mod's pow(j, k, m) makes about (bit length of k) products of m-sized numbers
 # per term; terms (bit length of k) (bit length of m) within this estimate, and
 # at most this many terms, took 0.1-1.2 s on one core from k = 2 to 2^1000
@@ -245,8 +244,8 @@ def _refusal(route: str, k: int, n: int) -> str:
             f"adds n terms one by one and is bounded at n <= {_BRUTE_TERM_BOUND}"
             f" and k n (bit length of n) <= {_BRUTE_WORK_BOUND}"
         )
-    if route == "faulhaber" and k > _FAULHABER_K_BOUND:
-        return f"builds the Bernoulli table to B_k and is bounded at k <= {_FAULHABER_K_BOUND}"
+    if route == "faulhaber" and k > bernoulli._TABLE_K_BOUND:
+        return f"builds the Bernoulli table to B_k and is bounded at k <= {bernoulli._TABLE_K_BOUND}"
     if route == "recursive" and k * k * (k + 1) * ((n + 1).bit_length() + 32) > _RECURSIVE_WORK_BOUND:
         return f"is bounded at k^2 (k+1) (bit length of n+1, plus 32) <= {_RECURSIVE_WORK_BOUND}"
     return ""

@@ -6,7 +6,7 @@ import pathlib
 
 import pytest
 
-from faulhaber import bernoulli, powersum, selftest
+from faulhaber import bernoulli, integrality, powersum, selftest
 from faulhaber.cli import main
 
 SRC = pathlib.Path(__file__).resolve().parent.parent / "src"
@@ -63,3 +63,24 @@ def fresh_memo(monkeypatch):
 
     empty()
     return empty
+
+
+class WorkStarted(Exception):
+    """Raised where a bounded call would start its work."""
+
+
+@pytest.fixture
+def stop_work(monkeypatch):
+    """Makes the work behind the table and grid bounds raise ``WorkStarted``,
+    which it returns: the tangent memo's growth, the series division (at its
+    first factorial; ``math.factorial`` is patched process-wide for the test)
+    and each verdict of ``grid``.  A refused call raises its ``ValueError``
+    without it, and an admitted one raises it at once."""
+
+    def started(*args):
+        raise WorkStarted(*args)
+
+    monkeypatch.setattr(bernoulli, "_extend_recursive", started)
+    monkeypatch.setattr(bernoulli.math, "factorial", started)
+    monkeypatch.setattr(integrality, "decide", started)
+    return WorkStarted

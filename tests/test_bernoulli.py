@@ -57,11 +57,23 @@ def test_memo_common_denominator_is_the_lcm_of_the_denominators(fresh_memo, step
         assert bernoulli._scaled_values[0] == math.lcm(*(t[j].denominator for j in range(limit + 1)))
 
 
-def test_negative_limit_rejected():
-    with pytest.raises(ValueError):
-        bernoulli_recursive(-1)
-    with pytest.raises(ValueError):
-        bernoulli_egf(-1)
+def test_negative_limit_rejected(stop_work):
+    # and the first limit past each table's bound, before the table starts
+    for limit in (-1, 2049):
+        with pytest.raises(ValueError):
+            bernoulli_recursive(limit)
+    for limit in (-1, 513):
+        with pytest.raises(ValueError):
+            bernoulli_egf(limit)
+
+
+def test_each_table_bound_admits_its_edge(stop_work):
+    with pytest.raises(stop_work):
+        bernoulli_recursive(2048)
+    with pytest.raises(stop_work):
+        bernoulli_egf(512)
+    with pytest.raises(stop_work):
+        is_regular(2039)  # the largest prime p <= 2048 + 3
 
 
 @pytest.mark.parametrize("k,expected", [(2, 6), (4, 30), (12, 2730)])
@@ -103,13 +115,15 @@ def test_irregular_primes_below_700():
     assert found == IRREGULAR_BELOW_700
 
 
-def test_is_regular_rejects_bad_inputs():
+def test_is_regular_rejects_bad_inputs(stop_work):
     with pytest.raises(ValueError):
         is_regular(3)
     with pytest.raises(ValueError):
         is_regular(9)
     with pytest.raises(ValueError):
         is_regular(4)
+    with pytest.raises(ValueError, match="p <= 2051"):
+        is_regular(2053)  # the first prime past the table's bound
 
 
 def test_memo_is_safe_under_concurrent_growth():

@@ -46,13 +46,8 @@ def test_approx_decimal_below_the_normal_float_range(q, expected):
 # the error text of each refusal below is a row of cli_transcript.jsonl; these
 # tests show that no work starts before it
 @pytest.mark.parametrize("argv", [("bern", "2049"), ("bern", "513", "--verify")], ids=["plain", "verify"])
-def test_bern_past_its_k_bound_exits_2_before_any_work(capsys, monkeypatch, argv):
+def test_bern_past_its_k_bound_exits_2_before_any_work(capsys, stop_work, argv):
     # past the bound either table would take seconds to minutes; neither may start
-    def never(*args):
-        raise AssertionError("a Bernoulli table was built past the k bound")
-
-    monkeypatch.setattr(faulhaber.bernoulli, "bernoulli_recursive", never)
-    monkeypatch.setattr(faulhaber.bernoulli, "bernoulli_egf", never)
     assert run_cli(capsys, *argv)[:2] == (2, "")
 
 
@@ -217,30 +212,20 @@ def test_json_output_is_deterministic(capsys):
     assert first == second
 
 
-class GridRan(Exception):
-    pass
-
-
-def ran_grid(kmax, nmax):
-    raise GridRan(kmax, nmax)
-
-
 # --json writes about 150 bytes a cell, so it has its own bound of 200000 cells
 @pytest.mark.parametrize(
     "argv", [["4000001", "1"], ["200", "20001"], ["1", "10000000000"], ["200", "1001", "--json"]]
 )
-def test_table_past_its_cell_bound_exits_2_before_any_verdict(capsys, monkeypatch, argv):
-    monkeypatch.setattr(faulhaber.integrality, "grid", ran_grid)
+def test_table_past_its_cell_bound_exits_2_before_any_verdict(capsys, stop_work, argv):
     assert run_cli(capsys, "table", *argv)[:2] == (2, "")
 
 
 @pytest.mark.parametrize(
-    "argv", [["200", "20000"], ["1", "4000000"], ["0", "10000000000"], ["200", "1000", "--json"]]
+    "argv", [["200", "20000"], ["1", "4000000"], ["2000", "2000"], ["200", "1000", "--json"]]
 )
-def test_table_cell_bound_admits_up_to_4000000_cells(capsys, monkeypatch, argv):
-    # a kmax or nmax below 1 is left to grid's own check; --json admits 200000
-    monkeypatch.setattr(faulhaber.integrality, "grid", ran_grid)
-    with pytest.raises(GridRan):
+def test_table_cell_bound_admits_up_to_4000000_cells(stop_work, argv):
+    # grid's bound, with 200000 for --json: the first verdict starts
+    with pytest.raises(stop_work):
         main(["table", *argv])
 
 

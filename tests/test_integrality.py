@@ -5,7 +5,7 @@ import threading
 import pytest
 from test_selftest import MisKeyed
 
-from faulhaber import bernoulli, integrality, primes
+from faulhaber import bernoulli, integrality, powersum, primes
 from faulhaber.bernoulli import vsc_denominator
 from faulhaber.integrality import (
     RULE_EVEN,
@@ -185,6 +185,16 @@ def test_prime_block_sum_rejects_composite():
         prime_block_sum(5, 0)
 
 
+def test_prime_block_sum_past_the_s_mod_bound_is_refused_before_any_term(monkeypatch):
+    # s_mod's term bound admits 10**6 terms; summing 10**9 + 7 of them takes minutes
+    def never(q, m):
+        raise AssertionError(f"s_mod ran past its bound at {q}, m={m}")
+
+    monkeypatch.setattr(powersum, "s_mod", never)
+    with pytest.raises(ValueError, match="s_mod's cost bound"):
+        prime_block_sum(10**9 + 7, 2)
+
+
 @pytest.mark.parametrize(
     "k,n,p,a,predicted",
     [
@@ -232,11 +242,19 @@ def test_grid_matches_decide_cellwise():
             assert rows[k - 1][n - 1] == decide(k, n)
 
 
-def test_grid_rejects_bad_bounds():
+def test_grid_rejects_bad_bounds(stop_work):
     with pytest.raises(ValueError):
         grid(0, 5)
     with pytest.raises(ValueError):
         grid(5, 0)
+    with pytest.raises(ValueError, match="4000000"):
+        grid(4000001, 1)  # before any verdict
+
+
+@pytest.mark.parametrize("kmax,nmax", [(4000000, 1), (1, 4000000), (2000, 2000)])
+def test_grid_bound_admits_up_to_4000000_cells(stop_work, kmax, nmax):
+    with pytest.raises(stop_work):
+        grid(kmax, nmax)
 
 
 def test_witness_text_forms():

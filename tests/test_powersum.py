@@ -127,9 +127,10 @@ def test_every_record_survives_pickle(record, field):
     assert copy == record
 
 
-# the repr and the field types (as typing.get_type_hints reads them) of each
-# value record in RECORDS, which is all of them but BernoulliTable; Average's
-# types are not read, because its "Fraction" is not bound in powersum
+# the repr and the field types of each value record in RECORDS, which is all of
+# them but BernoulliTable; typing.get_type_hints reads the same types, save
+# Average's value, which is left unannotated because Fraction is not bound in
+# powersum
 SURFACES = {
     "PowerSumQuery": ("PowerSumQuery(k=2, n=4)", {"k": int, "n": int}),
     "Average": ("Average(value=Fraction(9, 2), integral=False)", {"value": Fraction, "integral": bool}),
@@ -166,8 +167,8 @@ def test_every_value_record_keeps_the_named_tuple_surface(record, text, hints):
     plain = tuple(record)
     assert repr(record) == text
     assert cls._fields == cls.__match_args__ == tuple(hints)
-    if cls is not Average:
-        assert typing.get_type_hints(cls) == hints
+    annotated = {"integral": bool} if cls is Average else hints
+    assert typing.get_type_hints(cls) == annotated
     assert record == plain and hash(record) == hash(plain)
     assert not hasattr(record, "__dict__")
     assert record._asdict() == dict(zip(hints, plain))
@@ -186,6 +187,28 @@ def test_every_value_record_keeps_the_named_tuple_surface(record, text, hints):
             assert (a, b) == plain[:2]
         case _:
             pytest.fail(f"{cls.__name__} did not match two positional patterns")
+
+
+def test_every_annotation_resolves():
+    # an annotation naming what a module does not bind at import, such as a
+    # quoted "Fraction" or "argparse.Namespace", raises NameError here
+    import faulhaber
+    from faulhaber import cli
+
+    def members(cls):
+        for klass in cls.__mro__[:-1]:
+            if klass.__module__.startswith("faulhaber"):
+                for attr in vars(klass).values():
+                    yield getattr(attr, "fget", getattr(attr, "__func__", attr))
+
+    targets = [cli.build_parser, cli.approx_decimal]
+    targets += [value for name, value in vars(cli).items() if name.startswith("_cmd_")]
+    for obj in map(faulhaber.__dict__.get, faulhaber.__all__):
+        targets += [obj, *members(obj)] if isinstance(obj, type) else [obj]
+    targets = [obj for obj in targets if callable(obj)]
+    assert len(targets) > 50
+    for obj in targets:
+        typing.get_type_hints(obj)
 
 
 def test_faulhaber_inconsistency_is_loud():
