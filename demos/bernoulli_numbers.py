@@ -20,7 +20,7 @@ print("Two independent routes to the same rationals")
 print("--------------------------------------------")
 rec = bernoulli_recursive(K)
 egf = bernoulli_egf(K)
-print(f"{'k':>3}  {'recurrence':>16}  {'series division':>16}")
+print(f"{'k':>3}  {'tangent numbers':>16}  {'series x/(e^x-1)':>16}")
 for k in range(K + 1):
     agree = "" if rec[k] == egf[k] else "  <-- DISAGREE"
     print(f"{k:>3}  {rec[k]!s:>16}  {egf[k]!s:>16}{agree}")

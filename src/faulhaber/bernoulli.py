@@ -9,8 +9,12 @@ code, which lets each serve as an oracle for the other:
   and sets B_2n = (-1)^(n-1) 2n T_n / (4^n (4^n - 1)) as an int numerator
   and denominator, reduced by one gcd.
 
-* ``bernoulli_egf`` long-divides the power series x by (e^x - 1) in exact
-  rationals and reads B_k off as k! times the k-th quotient coefficient.
+* ``bernoulli_egf`` expands the generating function x/(e^x - 1) in ints.
+  Times m!, x = (e^x - 1) sum_j B_j x^j/j! reads sum_{j<=m} C(m+1, j) B_j = 0
+  for m >= 1.  By von Staudt-Clausen the product L of the primes up to
+  limit + 1 is a common denominator of B_0..B_limit, so
+  L B_m = -(sum_{j<m} C(m+1, j) L B_j)/(m+1) is an exact int division,
+  and a remainder is raised: L is checked, not trusted.
 
 A ``BernoulliTable`` keeps B_0..B_limit in one form, as integers over one
 common denominator, (L, (L B_0, ..., L B_limit)); ``t[k]`` and
@@ -19,7 +23,7 @@ common denominator, (L, (L B_0, ..., L B_limit)); ``t[k]`` and
 product.  ``bernoulli_recursive`` cuts its tables from a per-process memo
 in that form: the last tangent column, and one such pair with L the lcm of
 the memo's own denominators, both grown together under one lock.
-``bernoulli_egf`` is an oracle and keeps no memo; it divides its series
+``bernoulli_egf`` is an oracle and keeps no memo; it runs its recurrence
 afresh on each call.
 
 ``vsc_denominator`` is a third, arithmetic-free route to the denominators
@@ -28,7 +32,7 @@ terms is the (square-free) product of all primes p with (p-1) | k.
 
 Both table bounds live here, and each route checks its own on entry, before
 any work: ``bernoulli_recursive`` admits limit <= 2048 and
-``bernoulli_egf`` limit <= 512.  Every caller inherits them: ``s_faulhaber``
+``bernoulli_egf`` limit <= 1024.  Every caller inherits them: ``s_faulhaber``
 (whose route bound in ``powersum`` reads the first), ``is_regular`` (p <=
 2051) and the CLI's ``bern``.
 """
@@ -38,8 +42,8 @@ import threading
 from functools import lru_cache
 
 # fractions (and the decimal and numbers it pulls in) is imported where a
-# Fraction is built: by t[k], t.values and the series route; the memo grows in
-# ints, so building it and summing over it never load fractions
+# Fraction is built: by t[k] and t.values; both routes build their tables in
+# ints, so building either and summing over it never load fractions
 from . import primes
 
 __all__ = [
@@ -51,9 +55,10 @@ __all__ = [
 ]
 
 # the tangent table costs about 1.2 s cold to B_2048 and 9.3 s to B_4096 on one
-# core, and the series division about 3 s to B_512; past these limits either is refused
+# core, and the series recurrence about 0.7 s to B_1024 and 1.5 s to B_1280;
+# past these limits either is refused
 _TABLE_K_BOUND = 2048
-_SERIES_K_BOUND = 512
+_SERIES_K_BOUND = 1024
 
 
 class BernoulliTable:
@@ -173,22 +178,25 @@ def bernoulli_recursive(limit: int) -> BernoulliTable:
 
 
 def bernoulli_egf(limit: int) -> BernoulliTable:
-    """Exact table B_0..B_limit from series division of x by (e^x - 1)."""
+    """Exact table B_0..B_limit from the generating function x/(e^x - 1),
+    as its binomial recurrence in ints over the product of the primes up to
+    limit + 1.  Raises ``InconsistencyError`` when a division leaves a remainder.
+    """
     if not 0 <= limit <= _SERIES_K_BOUND:
         raise ValueError(f"series table limit must be in 0..{_SERIES_K_BOUND}, got {limit}")
-    from fractions import Fraction
+    lcm = math.prod(primes.sieve(limit + 1)) if limit else 1
+    # scaled[j] is L B_j; before step m, row is C(m, 0..m), and after it C(m+1, 0..m+1)
+    scaled, row = [lcm], [1, 1]
+    for m in range(1, limit + 1):
+        row = [1, *(x + y for x, y in zip(row, row[1:])), 1]
+        # zip stops at j = m - 1: every earlier value enters, the zeros too
+        b, rem = divmod(-sum(c * a for c, a in zip(row, scaled)), m + 1)
+        if rem:
+            from .powersum import InconsistencyError  # powersum imports this module
 
-    # q = x / (e^x - 1) as a truncated series; with d_i = 1/(i+1)! the
-    # divisor (e^x - 1)/x has d_0 = 1, so long division reads
-    #   q_i = -(d_1 q_{i-1} + ... + d_i q_0)
-    d = [Fraction(1, math.factorial(j + 1)) for j in range(limit + 1)]
-    q = [Fraction(1)]
-    for i in range(1, limit + 1):
-        q.append(-sum(d[j] * q[i - j] for j in range(1, i + 1)))
-    b = [math.factorial(k) * c for k, c in enumerate(q)]
-    lcm = math.lcm(*(c.denominator for c in b))
-    scaled = tuple(c.numerator * (lcm // c.denominator) for c in b)
-    return BernoulliTable(limit=limit, lcm=lcm, scaled=scaled, route="egf")
+            raise InconsistencyError(f"series recurrence left remainder {rem} at B_{m}: a bad value or a bad L")
+        scaled.append(b)
+    return BernoulliTable(limit=limit, lcm=lcm, scaled=tuple(scaled), route="egf")
 
 
 @lru_cache(maxsize=None)

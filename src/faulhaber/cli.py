@@ -8,7 +8,8 @@ key order.  Exact values are always rendered as decimal strings or
 replaces the exact form.
 
 Exit codes: 0 success (and "integral" for check), 1 not integral (check
-only), 2 usage or input error or a closed stdout, 3 internal inconsistency.
+only), 2 usage or input error, a closed stdout or running out of memory,
+3 internal inconsistency.
 """
 
 import math
@@ -336,6 +337,10 @@ def main(argv: list[str] | None = None) -> int:
         return 2
     except (ValueError, primes.FactorizationError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except MemoryError:
+        # an uncaught one would exit 1, which reads as "not integral"
+        print("error: out of memory", file=sys.stderr)
         return 2
     except InconsistencyError as exc:
         print(f"internal inconsistency: {exc}", file=sys.stderr)

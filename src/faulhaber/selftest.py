@@ -8,8 +8,8 @@ One line per group: the route it pins, then the oracle it is held to.
                            candidates up in the least-factor table, the sieve runs its
                            own Eratosthenes loop (the tests hold the table to trial division)
 * factorize-roundtrip      ``factorize`` vs multiplying the factors back, n <= 10^4
-* route-equivalence        ``bernoulli_recursive`` (tangent numbers) vs ``bernoulli_egf``, B_0..B_49,
-                           and both vs zero at odd indices 3..49
+* route-equivalence        ``bernoulli_recursive`` (tangent numbers) vs ``bernoulli_egf``, B_0..B_256,
+                           and both vs zero at odd indices 3..255
 * vsc-consistency          reduced denominators of B_k vs ``vsc_denominator``, even k <= 60,
                            each square-free by ``factorize``
 * irregular-scan           ``is_regular`` vs the known irregular primes 37, 59, 67 below 100,
@@ -84,7 +84,7 @@ def _factorize_roundtrip() -> None:
 
 
 def _route_equivalence() -> None:
-    top = 49
+    top = 256
     rec = bernoulli.bernoulli_recursive(top)
     egf = bernoulli.bernoulli_egf(top)
     if (rec.route, egf.route) != ("recursive", "egf"):

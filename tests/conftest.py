@@ -72,15 +72,15 @@ class WorkStarted(Exception):
 @pytest.fixture
 def stop_work(monkeypatch):
     """Makes the work behind the table and grid bounds raise ``WorkStarted``,
-    which it returns: the tangent memo's growth, the series division (at its
-    first factorial; ``math.factorial`` is patched process-wide for the test)
-    and each verdict of ``grid``.  A refused call raises its ``ValueError``
-    without it, and an admitted one raises it at once."""
+    which it returns: the tangent memo's growth, the series recurrence (at its
+    first step, the sieve for its common denominator; ``primes.sieve`` is
+    patched for the test) and each verdict of ``grid``.  A refused call raises
+    its ``ValueError`` without it, and an admitted one raises it at once."""
 
     def started(*args):
         raise WorkStarted(*args)
 
     monkeypatch.setattr(bernoulli, "_extend_recursive", started)
-    monkeypatch.setattr(bernoulli.math, "factorial", started)
+    monkeypatch.setattr(bernoulli.primes, "sieve", started)
     monkeypatch.setattr(integrality, "decide", started)
     return WorkStarted

@@ -10,6 +10,7 @@ from faulhaber.bernoulli import (
     is_regular,
     vsc_denominator,
 )
+from faulhaber.powersum import InconsistencyError
 from faulhaber.primes import is_prime
 
 
@@ -19,12 +20,18 @@ def test_sixth_value_both_routes():
     assert bernoulli_egf(6)[6] == Fraction(1, 42)
 
 
-def test_recursive_matches_egf_oracle_to_256():
-    assert bernoulli_recursive(256).values == bernoulli_egf(256).values
-
-
 def test_egf_entry_8():
     assert bernoulli_egf(8)[8] == Fraction(-1, 30)
+
+
+@pytest.mark.parametrize("dropped", [2, 3, 509])
+def test_bernoulli_egf_raises_when_L_lacks_a_prime(monkeypatch, dropped):
+    # L short of p is no common denominator once B_(p-1) needs p in its
+    # denominator, so a division leaves a remainder there at the latest
+    sieve = bernoulli.primes.sieve
+    monkeypatch.setattr(bernoulli.primes, "sieve", lambda n: [p for p in sieve(n) if p != dropped])
+    with pytest.raises(InconsistencyError, match="remainder"):
+        bernoulli_egf(512)
 
 
 def test_table_indexing_bounds():
@@ -62,7 +69,7 @@ def test_negative_limit_rejected(stop_work):
     for limit in (-1, 2049):
         with pytest.raises(ValueError):
             bernoulli_recursive(limit)
-    for limit in (-1, 513):
+    for limit in (-1, 1025):
         with pytest.raises(ValueError):
             bernoulli_egf(limit)
 
@@ -71,7 +78,7 @@ def test_each_table_bound_admits_its_edge(stop_work):
     with pytest.raises(stop_work):
         bernoulli_recursive(2048)
     with pytest.raises(stop_work):
-        bernoulli_egf(512)
+        bernoulli_egf(1024)
     with pytest.raises(stop_work):
         is_regular(2039)  # the largest prime p <= 2048 + 3
 

@@ -45,16 +45,16 @@ def test_approx_decimal_below_the_normal_float_range(q, expected):
 
 # the error text of each refusal below is a row of cli_transcript.jsonl; these
 # tests show that no work starts before it
-@pytest.mark.parametrize("argv", [("bern", "2049"), ("bern", "513", "--verify")], ids=["plain", "verify"])
+@pytest.mark.parametrize("argv", [("bern", "2049"), ("bern", "1025", "--verify")], ids=["plain", "verify"])
 def test_bern_past_its_k_bound_exits_2_before_any_work(capsys, stop_work, argv):
     # past the bound either table would take seconds to minutes; neither may start
     assert run_cli(capsys, *argv)[:2] == (2, "")
 
 
 def test_bern_past_the_verify_bound_runs_without_verify(capsys):
-    code, out, _ = run_cli(capsys, "bern", "600")
+    code, out, _ = run_cli(capsys, "bern", "1026")
     assert code == 0
-    assert out == str(bernoulli_recursive(600)[600]) + "\n"
+    assert out == str(bernoulli_recursive(1026)[1026]) + "\n"
 
 
 def test_bern_approx_any_magnitude(capsys):
@@ -358,6 +358,17 @@ def test_bern_verify_disagreement_exits_3(capsys, monkeypatch):
     assert "disagree" in err
 
 
+def test_memory_error_exits_2_without_traceback(capsys, monkeypatch):
+    # exit 1 means "not integral", so running out of memory must not reach it
+    def exhausted(kmax, nmax):
+        raise MemoryError
+
+    monkeypatch.setattr(faulhaber.integrality, "grid", exhausted)
+    code, out, err = run_cli(capsys, "table", "2", "2")
+    # one error line, no traceback
+    assert (code, out, err) == (2, "", "error: out of memory\n")
+
+
 def test_bench_verdict_disagreement_exits_3(capsys, monkeypatch):
     decide = faulhaber.integrality.decide
 
@@ -484,7 +495,11 @@ _LAZY_MODULES = ("fractions", "decimal", "numbers", "json")
 
 
 def test_cli_import_loads_no_rational_decimal_or_json(src_env):
-    code = f"import sys, faulhaber.cli; print(*(m for m in {_LAZY_MODULES!r} if m in sys.modules))"
+    # nor does the series table, which is built in ints like the memo
+    code = (
+        "import sys, faulhaber.cli; faulhaber.bernoulli.bernoulli_egf(64);"
+        f" print(*(m for m in {_LAZY_MODULES!r} if m in sys.modules))"
+    )
     proc = subprocess.run(
         [sys.executable, "-S", "-c", code], capture_output=True, text=True, env=src_env, timeout=120
     )
